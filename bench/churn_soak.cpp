@@ -735,12 +735,31 @@ int main(int argc, char** argv) {
     }
   };
 
+  // Ring-maintenance cost under churn: NeighborQuery requests (two per
+  // stabilize round, one to each immediate neighbor) per live
+  // node-second over the churn window.  Stabilization backs off on quiet
+  // stretches of the ring, so this stays well under the two-per-tick
+  // rate of an always-on stabilizer; the churn gate caps it.
+  auto neighbor_queries = [&] {
+    std::uint64_t q = 0;
+    for (const auto& s : soak) {
+      q += 2 * s.node->overlay().stats().stabilize_rounds;
+    }
+    return q;
+  };
+  const std::uint64_t queries_at_churn_start = neighbor_queries();
+  double live_node_seconds = 0.0;
+
   auto next_event =
       net.now() + ipop::util::seconds_f(rng.exponential(
                        60.0 / events_per_minute));
   auto next_audit = net.now() + seconds(5);
   while (net.now() < t_end) {
     const auto next = std::min(std::min(next_event, next_audit), t_end);
+    const auto live_nodes = std::count_if(
+        soak.begin(), soak.end(), [](const SoakNode& s) { return s.live; });
+    live_node_seconds += static_cast<double>(live_nodes) *
+                         ipop::util::to_seconds(next - net.now());
     net.run_until(next);
     if (net.now() >= next_event) {
       churn_event();
@@ -754,6 +773,11 @@ int main(int argc, char** argv) {
       next_audit = net.now() + seconds(5);
     }
   }
+  const double neighbor_queries_per_node_s =
+      live_node_seconds > 0.0
+          ? static_cast<double>(neighbor_queries() - queries_at_churn_start) /
+                live_node_seconds
+          : 0.0;
   // Drain: let in-flight lookups and reacquisitions settle, final audit.
   net.run_until(net.now() + seconds(30));
   audit_leases();
@@ -939,7 +963,7 @@ int main(int argc, char** argv) {
       "push-backs; dhcp conflicts %llu, leases lost %llu in churn "
       "(+%llu warmup reconciliation)\n"
       "  churn detection: %llu keepalive evictions, %llu departures seen, "
-      "%llu arp invalidations\n"
+      "%llu arp invalidations; %.3f neighbor queries/node/s\n"
       "  tables: connections mean %.1f max %llu; switch arp-suppressed "
       "%llu\n"
       "  dht gets: %llu total, %llu timeouts, %llu not-found; route drops: "
@@ -968,7 +992,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(keepalive_evictions),
       static_cast<unsigned long long>(departures_seen),
       static_cast<unsigned long long>(arp_invalidations),
-      end_conn_mean, static_cast<unsigned long long>(end_conn_max),
+      neighbor_queries_per_node_s, end_conn_mean,
+      static_cast<unsigned long long>(end_conn_max),
       static_cast<unsigned long long>(sw.arp_suppressed()),
       static_cast<unsigned long long>(gets),
       static_cast<unsigned long long>(get_timeouts),
@@ -1054,7 +1079,8 @@ int main(int argc, char** argv) {
                "      \"dht_antientropy_pushbacks\": %llu,\n"
                "      \"keepalive_evictions\": %llu,\n"
                "      \"departures_seen\": %llu,\n"
-               "      \"arp_invalidations\": %llu,\n",
+               "      \"arp_invalidations\": %llu,\n"
+               "      \"neighbor_queries_per_node_s\": %.4f,\n",
                opt.nodes, opt.churn_rate, opt.churn_minutes,
                static_cast<unsigned long long>(opt.seed),
                opt.hostile ? "true" : "false", opt.hijack_fraction,
@@ -1080,7 +1106,8 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(antientropy),
                static_cast<unsigned long long>(keepalive_evictions),
                static_cast<unsigned long long>(departures_seen),
-               static_cast<unsigned long long>(arp_invalidations));
+               static_cast<unsigned long long>(arp_invalidations),
+               neighbor_queries_per_node_s);
   if (opt.hostile) {
     // Per-NAT-type-pair traversal outcomes.  punch_success_rate_<a>_<b>
     // is the fraction of that pair's links that did NOT need a relay

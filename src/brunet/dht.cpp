@@ -26,26 +26,23 @@ void encode_record_fields(util::ByteWriter& w, const Record& rec) {
 }
 }  // namespace
 
-std::vector<std::uint8_t> Record::signed_bytes(const Address& key) const {
-  std::vector<std::uint8_t> m;
-  m.reserve(Address::kBytes + 13 + value.size());
-  m.insert(m.end(), key.bytes().begin(), key.bytes().end());
+Record::SignedHeader Record::signed_header(const Address& key) const {
+  SignedHeader h{};
+  auto out = std::copy(key.bytes().begin(), key.bytes().end(), h.begin());
   for (int i = 7; i >= 0; --i) {
-    m.push_back(static_cast<std::uint8_t>(version >> (i * 8)));
+    *out++ = static_cast<std::uint8_t>(version >> (i * 8));
   }
   for (int i = 3; i >= 0; --i) {
-    m.push_back(static_cast<std::uint8_t>(ttl >> (i * 8)));
+    *out++ = static_cast<std::uint8_t>(ttl >> (i * 8));
   }
-  m.push_back(flags);
-  const auto v = value.as_span();
-  m.insert(m.end(), v.begin(), v.end());
-  return m;
+  *out = flags;
+  return h;
 }
 
 void Record::sign(const Address& key, const util::crypto::KeyPair& keys) {
   flags |= kSigned;
   owner = keys.public_key();
-  sig = keys.sign(signed_bytes(key));
+  sig = keys.sign({signed_header(key), value.as_span()});
 }
 
 bool Record::verify(const Address& key) const {
@@ -60,7 +57,8 @@ bool Record::verify(const Address& key) const {
     std::copy_n(value.data(), Address::kBytes, claimed.begin());
     if (Address(claimed) != Address::from_public_key(owner)) return false;
   }
-  return util::crypto::verify(owner, signed_bytes(key), sig);
+  return util::crypto::verify(owner, {signed_header(key), value.as_span()},
+                              sig);
 }
 
 Dht::Dht(BrunetNode& node, DhtConfig cfg)
@@ -672,7 +670,18 @@ Dht::Stored* Dht::store_record(const Key& key, Record rec) {
     return nullptr;  // stale write: keep the newer live record
   }
   Stored s;
-  s.expires = now + (rec.ttl != 0 ? util::seconds(rec.ttl) : cfg_.record_ttl);
+  if (rec.ttl != 0) {
+    // A per-record TTL runs from the write, not from this copy's arrival:
+    // the version stamp is the writer's clock reading (write_stamp), so a
+    // copy that re-replication or handoff keeps moving around the ring
+    // keeps its original deadline.  Otherwise churn re-stores an orphaned
+    // record faster than it ages and it never expires at all.
+    const TimePoint written{static_cast<std::int64_t>(
+        std::min<std::uint64_t>(rec.version, now.count()))};
+    s.expires = written + util::seconds(rec.ttl);
+  } else {
+    s.expires = now + cfg_.record_ttl;
+  }
   s.rec = std::move(rec);
   auto& slot = store_[key];
   slot = std::move(s);

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -66,20 +68,33 @@ struct Record {
 
   util::Buffer value;
   std::uint64_t version = 0;  // writer-supplied monotonic stamp
-  /// Lifetime in seconds; 0 = the storing node's configured default.
+  /// Lifetime in seconds, counted from the write (the version stamp);
+  /// 0 = the storing node's configured default, counted from arrival.
   std::uint32_t ttl = 0;
   std::uint8_t flags = 0;
   util::crypto::PublicKey owner{};
   util::crypto::Signature sig{};
 
+  /// Wire TTL for a record its writer refreshes every `refresh`: three
+  /// refresh periods, so a live writer survives two lost refreshes, while
+  /// a record nobody refreshes any more — its holder crashed, or its
+  /// release was lost in flight — frees the key within that bound
+  /// instead of the storing node's much longer default.
+  static std::uint32_t ttl_for_refresh(util::Duration refresh) {
+    const auto s = std::chrono::ceil<std::chrono::seconds>(3 * refresh);
+    return static_cast<std::uint32_t>(std::max<std::int64_t>(1, s.count()));
+  }
+
   bool is_signed() const { return (flags & kSigned) != 0; }
   bool key_bound() const { return (flags & kKeyBound) != 0; }
   bool is_release() const { return is_signed() && value.empty(); }
 
-  /// The byte string the signature covers.  Includes the version so a
-  /// stale record cannot be replayed with its old signature, and the
-  /// flags so a verifier cannot be tricked into skipping kKeyBound.
-  std::vector<std::uint8_t> signed_bytes(const Address& key) const;
+  /// The signature covers (key || version || ttl || flags || value):
+  /// this header, then the value bytes in place.  The version stops a
+  /// stale record from being replayed with its old signature, and the
+  /// flags stop a verifier from being tricked into skipping kKeyBound.
+  using SignedHeader = std::array<std::uint8_t, Address::kBytes + 8 + 4 + 1>;
+  SignedHeader signed_header(const Address& key) const;
   /// Sign in place with `keys` (sets owner, kSigned, then sig).
   void sign(const Address& key, const util::crypto::KeyPair& keys);
   /// Storing-node check: signature present and valid, and (for kKeyBound

@@ -83,6 +83,9 @@ void BrunetNode::start() {
   if (started_) return;
   started_ = true;
   started_at_ = host_.loop().now();
+  stabilize_every_ = 1;
+  ticks_since_stabilize_ = 0;
+  ring_changed_ = false;
   if (cfg_.transport == TransportAddress::Proto::kTcp) {
     ensure_tcp();
   } else {
@@ -117,11 +120,7 @@ void BrunetNode::leave() {
   // appended pubkey + signature are trailing fields legacy receivers
   // never reach while parsing.
   if (key_addressed()) {
-    std::vector<std::uint8_t> msg;
-    msg.reserve(Address::kBytes + body.size());
-    msg.insert(msg.end(), addr_.bytes().begin(), addr_.bytes().end());
-    msg.insert(msg.end(), body.begin(), body.end());
-    const auto sig = identity_.keys.sign(msg);
+    const auto sig = identity_.keys.sign({addr_.bytes(), body});
     const auto& pk = identity_.keys.public_key().bytes;
     body.insert(body.end(), pk.begin(), pk.end());
     body.insert(body.end(), sig.bytes.begin(), sig.bytes.end());
@@ -141,6 +140,7 @@ void BrunetNode::add_departure_hook(std::function<void()> hook) {
 }
 
 void BrunetNode::notify_connection_lost(const Address& addr) {
+  note_ring_change();
   for (auto& observer : conn_lost_observers_) {
     if (observer) observer(addr);
   }
@@ -668,7 +668,7 @@ void BrunetNode::handle_link_request(const std::shared_ptr<Edge>& edge,
   // this is the punched simultaneous open, not plain reachability.
   conn.punched = link != linking_.end() && link->second.punch_sent &&
                  link->second.round >= 1;
-  table_.add(conn);
+  add_connection(conn);
   ++stats_.edges_opened;
   if (conn.punched) ++stats_.links_punched;
   if (edge->remote().proto == TransportAddress::Proto::kRelay) {
@@ -725,7 +725,7 @@ void BrunetNode::handle_link_response(const std::shared_ptr<Edge>& edge,
   conn.type = type;
   conn.advertised = sender.addrs;
   conn.punched = punched;
-  table_.add(conn);
+  add_connection(conn);
   ++stats_.edges_opened;
   if (punched) ++stats_.links_punched;
   if (edge->remote().proto == TransportAddress::Proto::kRelay) {
@@ -747,7 +747,7 @@ void BrunetNode::handle_edge_ping(const std::shared_ptr<Edge>& edge,
       conn.addr = info.addr;
       conn.edge = edge;
       conn.advertised = info.addrs;
-      table_.add(conn);
+      add_connection(conn);
     } catch (const util::ParseError&) {
     }
   }
@@ -796,14 +796,10 @@ void BrunetNode::handle_departing(const std::shared_ptr<Edge>& edge,
       util::crypto::Signature sig;
       auto sig_bytes = r.bytes(64);
       std::copy(sig_bytes.begin(), sig_bytes.end(), sig.bytes.begin());
-      std::vector<std::uint8_t> msg;
-      msg.reserve(Address::kBytes + body_size);
-      msg.insert(msg.end(), sender.addr.bytes().begin(),
-                 sender.addr.bytes().end());
       const auto body = pkt.payload().subview(0, body_size);
-      msg.insert(msg.end(), body.data(), body.data() + body.size());
       if (Address::from_public_key(pk) != sender.addr ||
-          !util::crypto::verify(pk, msg, sig)) {
+          !util::crypto::verify(
+              pk, {sender.addr.bytes(), {body.data(), body.size()}}, sig)) {
         ++stats_.departures_rejected;
         return;
       }
@@ -819,6 +815,7 @@ void BrunetNode::handle_departing(const std::shared_ptr<Edge>& edge,
   ++stats_.departures_seen;
   IPOP_LOG_DEBUG(addr_.short_hex() << ": peer " << sender.addr.short_hex()
                                    << " is departing gracefully");
+  note_ring_change();
   if (table_.contains(sender.addr)) {
     ++stats_.edges_closed;
     evict_connection(sender.addr);
@@ -1217,18 +1214,24 @@ void BrunetNode::maintenance_tick() {
   bootstrap();
   ++maintenance_ticks_;
   if (table_.size() > 0) {
-    // Locate while the near set is thin — but also periodically after it
-    // fills.  reclassify() marks the table's nearest entries near whether
-    // or not they are the *true* ring neighbors, so after a mass join a
-    // node can look saturated while sitting in the wrong ring position;
-    // stabilize()'s neighbor-of-neighbor window then closes the gap only
-    // one position per round.  The routed locate probe jumps straight to
-    // the node currently closest to us (greedy over shortcuts), giving
-    // O(log n) convergence instead of O(gap).
-    if (table_.count(ConnectionType::kStructuredNear) <
-            2 * cfg_.near_per_side ||
-        maintenance_ticks_ % 4 == 0) {
-      locate_ring_position();
+    const bool saturated = table_.count(ConnectionType::kStructuredNear) >=
+                           2 * cfg_.near_per_side;
+    if (!saturated) note_ring_change();
+    const bool round = ++ticks_since_stabilize_ >= stabilize_every_;
+    if (round) {
+      ticks_since_stabilize_ = 0;
+      ++stats_.stabilize_rounds;
+      // Locate while the near set is thin — but also periodically after
+      // it fills.  reclassify() marks the table's nearest entries near
+      // whether or not they are the *true* ring neighbors, so after a
+      // mass join a node can look saturated while sitting in the wrong
+      // ring position; stabilize()'s neighbor-of-neighbor window then
+      // closes the gap only one position per round.  The routed locate
+      // probe jumps straight to the node currently closest to us (greedy
+      // over shortcuts), giving O(log n) convergence instead of O(gap).
+      if (!saturated || stats_.stabilize_rounds % 4 == 0) {
+        locate_ring_position();
+      }
     }
     // Partition healing: table-routed probes cannot escape a clique that
     // closed over itself, so periodically inject one through the seed
@@ -1236,7 +1239,17 @@ void BrunetNode::maintenance_tick() {
     // the seed sees O(n / 16 ticks) probe traffic, each one greedy-routed
     // onward at O(log n) cost.
     if (maintenance_ticks_ % 16 == 0) probe_via_seed();
-    stabilize();
+    if (round) {
+      stabilize();
+      // Back off while the ring stays quiet: a round that saw no change
+      // since the previous one doubles the gap to the next, up to the
+      // cap.  Any change (see note_ring_change) snaps it back to 1.
+      stabilize_every_ = ring_changed_
+                             ? 1
+                             : std::min(2 * stabilize_every_,
+                                        stabilize_interval_cap());
+      ring_changed_ = false;
+    }
     table_.reclassify(cfg_.near_per_side);
     maintain_shortcuts();
     trim_connections();
@@ -1427,6 +1440,24 @@ void BrunetNode::handle_connect_request(const Packet& pkt) {
   respond(pkt, PacketType::kConnectResponse, w.take());
 }
 
+std::uint32_t BrunetNode::stabilize_interval_cap() const {
+  // Two ticks of slack below edge_idle_ping absorb the ±10 % tick jitter
+  // and the reply's flight time.
+  const auto ticks = cfg_.edge_idle_ping / cfg_.maintenance_interval;
+  return static_cast<std::uint32_t>(std::max<std::int64_t>(1, ticks - 2));
+}
+
+void BrunetNode::note_ring_change() {
+  ring_changed_ = true;
+  stabilize_every_ = 1;
+}
+
+void BrunetNode::add_connection(const Connection& conn) {
+  const bool fresh = !table_.contains(conn.addr);
+  table_.add(conn);
+  if (fresh && should_be_near(conn.addr)) note_ring_change();
+}
+
 void BrunetNode::stabilize() {
   for (bool left : {false, true}) {
     const Connection* c = left ? table_.left_neighbor() : table_.right_neighbor();
@@ -1494,6 +1525,7 @@ void BrunetNode::consider_candidates(const std::vector<NodeInfo>& infos) {
   for (const auto& info : infos) {
     if (info.addr == addr_ || table_.contains(info.addr)) continue;
     if (should_be_near(info.addr)) {
+      note_ring_change();
       connect_to(info.addr, info.addrs, ConnectionType::kStructuredNear);
     }
   }

@@ -160,6 +160,10 @@ struct NodeStats {
   /// claimed an address the signing key does not own, or was missing
   /// while the config demands signed departures.
   std::uint64_t departures_rejected = 0;
+  /// Stabilize rounds run; each sends one NeighborQuery to each immediate
+  /// neighbor.  On a converged ring the rounds back off (see
+  /// maintenance_tick) to a fraction of one per tick.
+  std::uint64_t stabilize_rounds = 0;
 };
 
 /// Identity + dialable endpoints of a node, gossiped in the maintenance
@@ -357,6 +361,15 @@ class BrunetNode {
   NodeConfig& config() { return cfg_; }
   const NodeStats& stats() const { return stats_; }
   std::uint64_t maintenance_ticks() const { return maintenance_ticks_; }
+  /// Maintenance ticks between stabilize rounds right now: 1 while the
+  /// ring around us is changing, doubling up to stabilize_interval_cap()
+  /// once the near set is saturated and quiet.
+  std::uint32_t stabilize_interval() const { return stabilize_every_; }
+  /// The back-off ceiling, derived rather than configured: the
+  /// NeighborQuery/Reply exchange must still land on the immediate
+  /// neighbors' edges before they idle past edge_idle_ping, so quiet
+  /// rings never trade queries for keepalive pings.
+  std::uint32_t stabilize_interval_cap() const;
   /// Local + NAT-observed endpoints, advertised during handshakes.
   std::vector<TransportAddress> local_addresses() const;
   std::optional<Address> left_neighbor() const;
@@ -453,6 +466,13 @@ class BrunetNode {
   void send_locate_probe(const std::shared_ptr<Edge>& via);
   void probe_via_seed();
   void stabilize();
+  /// The ring around us moved (near-set change, fresh near candidate,
+  /// connection loss, departure, thin near set): stabilize every tick
+  /// again until a round passes with nothing new.
+  void note_ring_change();
+  /// Table insert shared by the link handshake and identity refreshes;
+  /// a brand-new entry landing in the near window is a ring change.
+  void add_connection(const Connection& conn);
   void reclassify_connections();
   void maintain_shortcuts();
   void trim_connections();
@@ -528,6 +548,11 @@ class BrunetNode {
   std::uint32_t msg_id_counter_ = 1;
   std::uint64_t maintenance_timer_ = 0;
   std::uint64_t maintenance_ticks_ = 0;
+  /// Stabilize back-off state: ticks between rounds, ticks since the last
+  /// round, and whether the ring changed since that round.
+  std::uint32_t stabilize_every_ = 1;
+  std::uint32_t ticks_since_stabilize_ = 0;
+  bool ring_changed_ = false;
   /// Guards the punch/link retry timers: declared last so a node dying
   /// mid-punch expires every outstanding callback before the members
   /// they would touch are gone (timer-lifetime rule).

@@ -15,18 +15,16 @@ const util::crypto::SymmetricKey& FrameSealer::shared_with(
   return it->second;
 }
 
-std::vector<std::uint8_t> FrameSealer::signed_bytes(
-    std::uint8_t flags, std::uint64_t nonce, const Address& dst,
-    std::span<const std::uint8_t> ciphertext) {
-  std::vector<std::uint8_t> m;
-  m.reserve(1 + 8 + Address::kBytes + ciphertext.size());
-  m.push_back(flags);
-  for (int i = 7; i >= 0; --i) {
-    m.push_back(static_cast<std::uint8_t>(nonce >> (i * 8)));
+FrameSealer::SignedHeader FrameSealer::signed_header(std::uint8_t flags,
+                                                     std::uint64_t nonce,
+                                                     const Address& dst) {
+  SignedHeader h{};
+  h[0] = flags;
+  for (int i = 0; i < 8; ++i) {
+    h[1 + i] = static_cast<std::uint8_t>(nonce >> ((7 - i) * 8));
   }
-  m.insert(m.end(), dst.bytes().begin(), dst.bytes().end());
-  m.insert(m.end(), ciphertext.begin(), ciphertext.end());
-  return m;
+  std::copy(dst.bytes().begin(), dst.bytes().end(), h.begin() + 1 + 8);
+  return h;
 }
 
 util::Buffer FrameSealer::seal(util::Buffer payload,
@@ -49,7 +47,7 @@ util::Buffer FrameSealer::seal(util::Buffer payload,
   // Encrypt-then-sign: the signature authenticates the ciphertext, so a
   // receiver rejects tampered frames before running the cipher.
   const auto sig =
-      keys_.sign(signed_bytes(kSealedV1, nonce, dst, payload.as_span()));
+      keys_.sign({signed_header(kSealedV1, nonce, dst), payload.as_span()});
 
   auto hdr = payload.grow_front(kHeaderSize, realloc_headroom);
   hdr[0] = kSealedV1;
@@ -80,9 +78,8 @@ std::optional<util::Buffer> FrameSealer::open(util::Buffer frame,
   std::copy_n(bytes.data() + 1 + 32 + 8, sig.bytes.size(), sig.bytes.begin());
 
   const auto ciphertext = bytes.subspan(kHeaderSize);
-  if (!util::crypto::verify(sender,
-                            signed_bytes(kSealedV1, nonce, dst, ciphertext),
-                            sig)) {
+  if (!util::crypto::verify(
+          sender, {signed_header(kSealedV1, nonce, dst), ciphertext}, sig)) {
     ++stats_.rejected;
     return std::nullopt;
   }

@@ -88,10 +88,11 @@ class FrameSealer {
   /// DH shared key with `peer`, cached (one agreement per peer pair).
   const util::crypto::SymmetricKey& shared_with(
       const util::crypto::PublicKey& peer);
-  /// The byte string the frame signature covers.
-  static std::vector<std::uint8_t> signed_bytes(
-      std::uint8_t flags, std::uint64_t nonce, const Address& dst,
-      std::span<const std::uint8_t> ciphertext);
+  /// The frame signature covers (flags || nonce || dst || ciphertext):
+  /// this header, then the ciphertext in place.
+  using SignedHeader = std::array<std::uint8_t, 1 + 8 + Address::kBytes>;
+  static SignedHeader signed_header(std::uint8_t flags, std::uint64_t nonce,
+                                    const Address& dst);
 
   util::crypto::KeyPair keys_;
   std::map<std::array<std::uint8_t, 32>, util::crypto::SymmetricKey> dh_cache_;

@@ -47,6 +47,7 @@ brunet::Record BrunetArp::binding_record() const {
   }
   brunet::Record rec;
   rec.value = util::Buffer::wrap(std::move(value));
+  rec.ttl = brunet::Record::ttl_for_refresh(cfg_.reregister_interval);
   // Only a key-derived address can prove the value's address claim is
   // the signer's own (see Record::kKeyBound).
   if (node_.key_addressed()) rec.flags |= brunet::Record::kKeyBound;
@@ -82,6 +83,16 @@ void BrunetArp::do_register(net::Ipv4Address vip, int retries_left) {
 
 void BrunetArp::invalidate(net::Ipv4Address vip) { cache_.erase(vip); }
 
+void BrunetArp::abort_lookups() {
+  ++lookup_epoch_;
+  // Move out first: a callback may resolve again and re-enter in_flight_.
+  auto aborted = std::move(in_flight_);
+  in_flight_.clear();
+  for (auto& [vip, callbacks] : aborted) {
+    for (auto& callback : callbacks) callback(std::nullopt);
+  }
+}
+
 void BrunetArp::unregister_ip(net::Ipv4Address vip) {
   std::erase(registered_, vip);
   // With an identity, a signed release drops the binding immediately so
@@ -112,7 +123,9 @@ void BrunetArp::resolve(net::Ipv4Address vip, ResolveCallback cb) {
   it->second.push_back(std::move(cb));
   if (!fresh) return;  // lookup already running; coalesce
 
-  dht_.get(key_for(vip), [this, vip](std::optional<brunet::Record> rec) {
+  dht_.get(key_for(vip), [this, vip, epoch = lookup_epoch_](
+                              std::optional<brunet::Record> rec) {
+    if (epoch != lookup_epoch_) return;  // aborted by a stop
     std::optional<ArpBinding> result;
     if (rec && rec->value.size() >= brunet::Address::kBytes) {
       ++stats_.dht_hits;

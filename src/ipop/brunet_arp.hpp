@@ -22,6 +22,10 @@ namespace ipop::core {
 
 struct BrunetArpConfig {
   util::Duration cache_ttl = util::seconds(30);
+  /// Binding refresh cadence.  Binding records carry a wire TTL of three
+  /// refreshes (Record::ttl_for_refresh): a binding whose release was
+  /// lost stops locking its address out of the next holder's
+  /// registration after that bound.
   util::Duration reregister_interval = util::seconds(60);
   /// A failed registration put (e.g. a request timeout while the ring is
   /// converging) retries on this short fuse instead of leaving the IP
@@ -71,6 +75,11 @@ class BrunetArp {
   void resolve(net::Ipv4Address vip, ResolveCallback cb);
   /// Drop a cached binding (e.g. after delivery failure).
   void invalidate(net::Ipv4Address vip);
+  /// Fail every lookup still in flight (callbacks see nullopt).  The
+  /// owning node calls this when it stops: the overlay drops its pending
+  /// requests without calling back, so a lookup left in flight would
+  /// never finish, and every later resolve of that address would join it.
+  void abort_lookups();
 
   const BrunetArpStats& stats() const { return stats_; }
 
@@ -98,6 +107,9 @@ class BrunetArp {
   BrunetArpStats stats_;
   std::map<net::Ipv4Address, CacheEntry> cache_;
   std::map<net::Ipv4Address, std::vector<ResolveCallback>> in_flight_;
+  /// Bumped by abort_lookups(): a DHT answer to an aborted lookup (a get
+  /// retry parked in a timer across the restart) is ignored.
+  std::uint64_t lookup_epoch_ = 0;
   std::vector<net::Ipv4Address> registered_;
   std::uint64_t reregister_timer_ = 0;
   bool stopped_ = false;

@@ -33,6 +33,7 @@ std::vector<std::uint8_t> DhcpClient::lease_value() const {
 brunet::Record DhcpClient::lease_record() const {
   brunet::Record rec;
   rec.value = util::Buffer::wrap(lease_value());
+  rec.ttl = brunet::Record::ttl_for_refresh(cfg_.renew_interval);
   // kKeyBound makes the storing node require the claimed address to
   // derive from the signing key: nobody can lease an IP *as us*.  Only
   // valid when the overlay address really is key-derived.

@@ -27,8 +27,10 @@ struct DhcpConfig {
   /// last octet is 0 or 255 are skipped (network/broadcast conventions).
   net::Ipv4Address pool_start = net::Ipv4Address(172, 16, 1, 0);
   std::uint32_t pool_size = 4096;
-  /// Lease refresh cadence; must be well below the DHT record TTL or the
-  /// lease expires out from under a live node.
+  /// Lease refresh cadence.  The lease record carries a wire TTL of three
+  /// renewals (Record::ttl_for_refresh), so a holder that stops renewing
+  /// — crashed, or its release lost — frees the address within that
+  /// bound.
   util::Duration renew_interval = util::seconds(60);
   /// Candidate IPs probed before acquire() reports failure.
   int max_attempts = 16;

@@ -121,6 +121,7 @@ void IpopNode::stop() {
     // with an IP that may have been re-leased in the meantime.
     release_address();
   }
+  if (brunet_arp_ != nullptr) brunet_arp_->abort_lookups();
   overlay_->stop();
 }
 
@@ -139,6 +140,7 @@ void IpopNode::leave() {
     dhcp_->release();
     release_address();
   }
+  if (brunet_arp_ != nullptr) brunet_arp_->abort_lookups();
   overlay_->leave();
 }
 

@@ -428,6 +428,16 @@ void mod_order(std::uint8_t* r, std::int64_t x[64]) {
   }
 }
 
+/// True when the 32-byte little-endian scalar is below L.  Signatures
+/// must carry a reduced S: S and S + L act identically on the base point,
+/// so accepting both would make every signature malleable.
+bool scalar_below_order(const std::uint8_t* s) {
+  for (int i = 31; i >= 0; --i) {
+    if (s[i] != kOrder[i]) return s[i] < kOrder[i];
+  }
+  return false;  // S == L
+}
+
 /// Reduces a 64-byte little-endian value mod L into its first 32 bytes.
 void reduce64(std::uint8_t* r) {
   std::int64_t x[64];
@@ -474,6 +484,10 @@ KeyPair KeyPair::generate(Rng& rng) {
 }
 
 Signature KeyPair::sign(std::span<const std::uint8_t> msg) const {
+  return sign(MessageParts{msg});
+}
+
+Signature KeyPair::sign(MessageParts parts) const {
   Signature sig{};
   if (!valid_) return sig;
 
@@ -482,7 +496,7 @@ Signature KeyPair::sign(std::span<const std::uint8_t> msg) const {
   {
     Sha512 ctx;
     ctx.update(std::span<const std::uint8_t>(prefix_));
-    ctx.update(msg);
+    for (const auto piece : parts) ctx.update(piece);
     const Sha512Digest d = ctx.finish();
     std::memcpy(r, d.data(), 64);
   }
@@ -497,7 +511,7 @@ Signature KeyPair::sign(std::span<const std::uint8_t> msg) const {
     Sha512 ctx;
     ctx.update(std::span<const std::uint8_t>(sig.bytes.data(), 32));
     ctx.update(std::span<const std::uint8_t>(public_.bytes));
-    ctx.update(msg);
+    for (const auto piece : parts) ctx.update(piece);
     const Sha512Digest d = ctx.finish();
     std::memcpy(h, d.data(), 64);
   }
@@ -514,6 +528,11 @@ Signature KeyPair::sign(std::span<const std::uint8_t> msg) const {
 
 bool verify(const PublicKey& pk, std::span<const std::uint8_t> msg,
             const Signature& sig) {
+  return verify(pk, MessageParts{msg}, sig);
+}
+
+bool verify(const PublicKey& pk, MessageParts parts, const Signature& sig) {
+  if (!scalar_below_order(sig.bytes.data() + 32)) return false;
   Point q;
   if (!point_unpack_neg(q, pk.bytes.data())) return false;
 
@@ -522,7 +541,7 @@ bool verify(const PublicKey& pk, std::span<const std::uint8_t> msg,
     Sha512 ctx;
     ctx.update(std::span<const std::uint8_t>(sig.bytes.data(), 32));
     ctx.update(std::span<const std::uint8_t>(pk.bytes));
-    ctx.update(msg);
+    for (const auto piece : parts) ctx.update(piece);
     const Sha512Digest d = ctx.finish();
     std::memcpy(h, d.data(), 64);
   }

@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string_view>
 
@@ -74,6 +75,11 @@ struct Signature {
   bool operator==(const Signature&) const = default;
 };
 
+/// A signed message given as consecutive pieces (e.g. a short header and
+/// a payload view): sign/verify hash the pieces in order through the
+/// incremental Sha512, so callers never copy them into one buffer.
+using MessageParts = std::initializer_list<std::span<const std::uint8_t>>;
+
 /// Symmetric key for stream_xor, usually from shared_key().
 using SymmetricKey = std::array<std::uint8_t, 32>;
 
@@ -94,6 +100,8 @@ class KeyPair {
 
   /// Detached signature over `msg`.
   Signature sign(std::span<const std::uint8_t> msg) const;
+  /// Detached signature over the concatenation of `parts`.
+  Signature sign(MessageParts parts) const;
 
   /// Edwards Diffie-Hellman: SHA-512 of the shared point, truncated to
   /// 32 bytes.  Symmetric: a.shared_key(B.pub) == b.shared_key(A.pub).
@@ -106,9 +114,13 @@ class KeyPair {
   bool valid_ = false;
 };
 
-/// Verifies a detached signature; false on malformed key or mismatch.
+/// Verifies a detached signature; false on malformed key, a
+/// non-canonical S (>= the group order, RFC 8032 section 5.1.7), or a
+/// mismatch.
 bool verify(const PublicKey& pk, std::span<const std::uint8_t> msg,
             const Signature& sig);
+/// Same, over the concatenation of `parts`.
+bool verify(const PublicKey& pk, MessageParts parts, const Signature& sig);
 
 /// XORs `data` in place with the keystream for (key, nonce).  Encryption
 /// and decryption are the same operation.  Callers must hold the buffer

@@ -927,6 +927,46 @@ TEST_F(DhtFixture, CreateSucceedsAfterRecordExpires) {
   EXPECT_TRUE(reclaimed);
 }
 
+TEST_F(DhtFixture, WireTtlRunsFromTheWriteNotFromEachCopy) {
+  // Churn keeps re-storing copies (re-replication, departure handoff).
+  // When each re-store restarted a record's clock, a record nobody
+  // refreshed any more never expired while the ring churned.
+  const auto key = Address::hash("short-lived-binding");
+  Record rec{util::Buffer::wrap(std::vector<std::uint8_t>{4, 2})};
+  rec.ttl = 8;
+  bool ok = false;
+  dhts[0]->put(key, std::move(rec), [&](bool r) { ok = r; });
+  f.net.loop().run_until(f.net.loop().now() + seconds(5));
+  ASSERT_TRUE(ok);
+  std::size_t owner = 0;
+  for (std::size_t i = 1; i < f.addrs.size(); ++i) {
+    if (Address::closer(key, f.addrs[i], f.addrs[owner])) owner = i;
+  }
+  // A departure 5 s into the record's life: every peer re-replicates and
+  // the leaver hands its copies on, re-storing them with 3 s to live.
+  const std::size_t leaver = owner == 1 ? 2 : 1;
+  std::uint64_t rereplications = 0;
+  for (const auto& d : dhts) rereplications -= d->stats().rereplications;
+  f.nodes[leaver]->leave();
+  f.net.loop().run_until(f.net.loop().now() + seconds(1));
+  for (const auto& d : dhts) rereplications += d->stats().rereplications;
+  EXPECT_GT(rereplications, 0u);
+  // Past the 8 s deadline no copy answers, however recently it moved.
+  f.net.loop().run_until(f.net.loop().now() + seconds(4));
+  bool done = false;
+  std::optional<std::vector<std::uint8_t>> got;
+  const std::size_t asker = (owner + 3) % dhts.size() == leaver
+                                ? (owner + 4) % dhts.size()
+                                : (owner + 3) % dhts.size();
+  dhts[asker]->get(key, [&](auto v) {
+    got = record_value(std::move(v));
+    done = true;
+  });
+  f.net.loop().run_until(f.net.loop().now() + seconds(10));
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(got.has_value()) << "a re-stored copy outlived the record";
+}
+
 TEST_F(DhtFixture, HandoffSurvivesSimultaneousAdjacentDepartures) {
   const auto key = Address::hash("churn-proof-record");
   bool put_ok = false;

@@ -128,7 +128,8 @@ struct IpopLanFixture : ::testing::Test {
   std::vector<net::Host*> hosts;
   std::vector<std::unique_ptr<IpopNode>> nodes;
 
-  void build(int n, bool brunet_arp = false, ShortcutConfig scfg = {}) {
+  void build(int n, bool brunet_arp = false, ShortcutConfig scfg = {},
+             BrunetArpConfig acfg = {}) {
     auto& sw = net.add_switch("sw");
     sim::LinkConfig lan;
     lan.delay = util::microseconds(100);
@@ -143,6 +144,7 @@ struct IpopLanFixture : ::testing::Test {
       cfg.tap.ip = net::Ipv4Address(172, 16, 0, static_cast<std::uint8_t>(i + 2));
       cfg.overlay.near_per_side = 3;
       cfg.use_brunet_arp = brunet_arp;
+      cfg.brunet_arp = acfg;
       cfg.shortcuts = scfg;
       // Keep unit tests fast: modest user-level costs.
       cfg.cpu_per_packet = util::microseconds(50);
@@ -174,6 +176,25 @@ struct IpopLanFixture : ::testing::Test {
 
   net::Ipv4Address vip(int i) const {
     return net::Ipv4Address(172, 16, 0, static_cast<std::uint8_t>(i + 2));
+  }
+
+  /// One uncached Brunet-ARP lookup from node `from`, run to completion
+  /// (or `budget`); nullopt when it misses or never answers.
+  std::optional<brunet::Address> resolve_from(
+      int from, net::Ipv4Address target, util::Duration budget = seconds(15)) {
+    auto* arp = nodes[static_cast<std::size_t>(from)]->brunet_arp();
+    arp->invalidate(target);
+    bool done = false;
+    std::optional<brunet::Address> got;
+    arp->resolve(target, [&](std::optional<ArpBinding> b) {
+      if (b) got = b->addr;
+      done = true;
+    });
+    const auto deadline = net.loop().now() + budget;
+    while (!done && net.loop().now() < deadline) {
+      net.loop().run_until(net.loop().now() + milliseconds(100));
+    }
+    return got;
   }
 };
 
@@ -299,6 +320,71 @@ TEST_F(IpopLanFixture, RouteForExtraIpAndMigrate) {
   nodes[0]->brunet_arp()->invalidate(vm_ip);
   ping_vm(2);
   EXPECT_GT(nodes[2]->metrics().packets_injected, injected_before_n2);
+}
+
+TEST_F(IpopLanFixture, LostBindingReleaseFreesAddressWithinTtl) {
+  // Regression: a binding whose release was lost used to survive the
+  // storing nodes' 600 s default TTL, and first-come-first-served
+  // ownership refused the address's next holder for all of it.  Binding
+  // records now carry a wire TTL of three re-registrations.
+  BrunetArpConfig acfg;
+  acfg.reregister_interval = seconds(10);
+  const auto ttl = seconds(brunet::Record::ttl_for_refresh(
+      acfg.reregister_interval));
+  ASSERT_EQ(ttl, seconds(30));
+  build(4, /*brunet_arp=*/true, {}, acfg);
+  ASSERT_TRUE(converge());
+  const auto vm_ip = ip("172.16.7.7");
+  nodes[1]->route_for(vm_ip);
+  net.loop().run_until(net.loop().now() + seconds(5));
+  ASSERT_EQ(resolve_from(0, vm_ip), nodes[1]->overlay().address());
+
+  // Node 1 dies while retracting the binding: its overlay is already
+  // down, so the signed release never leaves the host.
+  nodes[1]->overlay().stop();
+  nodes[1]->unroute_for(vm_ip);
+  nodes[1]->stop();
+  const auto lost_at = net.loop().now();
+
+  // The next holder is refused while the orphaned binding lives...
+  nodes[2]->route_for(vm_ip);
+  net.loop().run_until(net.loop().now() + seconds(3));
+  EXPECT_NE(resolve_from(0, vm_ip), nodes[2]->overlay().address());
+  // ...and resolves once the TTL has run out (plus one re-registration
+  // round and a lookup).
+  const auto deadline = lost_at + ttl + acfg.reregister_interval + seconds(5);
+  bool resolved = false;
+  while (!resolved && net.loop().now() < deadline) {
+    net.loop().run_until(net.loop().now() + seconds(1));
+    resolved = resolve_from(0, vm_ip, seconds(5)) ==
+               nodes[2]->overlay().address();
+  }
+  EXPECT_TRUE(resolved) << "next holder still locked out "
+                        << util::to_seconds(net.loop().now() - lost_at)
+                        << " s after the lost release";
+}
+
+TEST_F(IpopLanFixture, StopFailsInFlightLookupsSoRestartedNodeResolves) {
+  // Regression: a lookup in flight when its node stopped was never
+  // answered (the overlay drops pending requests silently), and after a
+  // restart every resolve of that address joined the dead lookup.
+  build(3, /*brunet_arp=*/true);
+  ASSERT_TRUE(converge());
+  net.loop().run_until(net.loop().now() + seconds(5));
+  bool first_done = false;
+  bool first_resolved = false;
+  nodes[1]->brunet_arp()->resolve(vip(2), [&](std::optional<ArpBinding> b) {
+    first_done = true;
+    first_resolved = b.has_value();
+  });
+  ASSERT_FALSE(first_done) << "lookup should still be in flight";
+  nodes[1]->stop();
+  EXPECT_TRUE(first_done) << "stop() must fail the in-flight lookup";
+  EXPECT_FALSE(first_resolved);
+
+  nodes[1]->start();
+  ASSERT_TRUE(converge());
+  EXPECT_EQ(resolve_from(1, vip(2)), nodes[2]->overlay().address());
 }
 
 TEST_F(IpopLanFixture, ShortcutTriggersDirectConnection) {

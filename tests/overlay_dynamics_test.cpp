@@ -1,6 +1,7 @@
 // Tests for the overlay-dynamics mechanisms added during calibration:
-// connection trimming, traffic-shortcut pinning, Nagle, the loaded-host
-// scheduling model, and the Planet-Lab topology builder.
+// connection trimming, traffic-shortcut pinning, stabilization back-off,
+// Nagle, the loaded-host scheduling model, and the Planet-Lab topology
+// builder.
 #include <gtest/gtest.h>
 
 #include "brunet/node.hpp"
@@ -25,7 +26,9 @@ struct BigOverlay {
   std::vector<net::Host*> hosts;
   std::vector<std::unique_ptr<brunet::BrunetNode>> nodes;
 
-  explicit BigOverlay(int n, std::size_t near = 2, std::size_t shortcuts = 2) {
+  /// `late` trailing nodes are built but not started (late joiners).
+  explicit BigOverlay(int n, std::size_t near = 2, std::size_t shortcuts = 2,
+                      int late = 0) {
     util::Rng rng(17);
     auto& sw = net.add_switch("sw");
     sim::LinkConfig lan;
@@ -51,7 +54,41 @@ struct BigOverlay {
       }
       nodes.push_back(std::move(node));
     }
-    for (auto& nd : nodes) nd->start();
+    for (int i = 0; i < n - late; ++i) {
+      nodes[static_cast<std::size_t>(i)]->start();
+    }
+  }
+
+  /// Every running node's right neighbor is its true ring successor.
+  bool ring_consistent() const {
+    std::vector<std::pair<brunet::Address, const brunet::BrunetNode*>> alive;
+    for (const auto& nd : nodes) {
+      if (nd->started()) alive.push_back({nd->address(), nd.get()});
+    }
+    std::sort(alive.begin(), alive.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (std::size_t i = 0; i < alive.size(); ++i) {
+      const auto right = alive[i].second->right_neighbor();
+      if (!right || *right != alive[(i + 1) % alive.size()].first) return false;
+    }
+    return true;
+  }
+
+  /// Run in maintenance-tick steps until the ring is consistent.
+  bool converge(util::Duration budget) {
+    const auto deadline = net.loop().now() + budget;
+    while (net.loop().now() < deadline) {
+      net.loop().run_until(net.loop().now() + milliseconds(500));
+      if (ring_consistent()) return true;
+    }
+    return ring_consistent();
+  }
+
+  /// NeighborQuery requests sent: one per immediate neighbor per round.
+  std::uint64_t neighbor_queries() const {
+    std::uint64_t q = 0;
+    for (const auto& nd : nodes) q += 2 * nd->stats().stabilize_rounds;
+    return q;
   }
 };
 
@@ -95,6 +132,67 @@ TEST(ConnectionTrimming, PeerRequestedNearLinksSurvive) {
   update.peer_requested_near = true;
   table.add(update);
   EXPECT_TRUE(table.find(c.addr)->peer_requested_near);
+}
+
+// --- Stabilization back-off ----------------------------------------------------
+
+TEST(StabilizeBackoff, CapStaysBelowEdgeIdlePing) {
+  net::Network net{1};
+  auto& h = net.add_host("h");
+  brunet::NodeConfig cfg;  // 500 ms ticks, 5 s idle ping
+  brunet::BrunetNode a(h, brunet::Address::hash("a"), cfg);
+  EXPECT_EQ(a.stabilize_interval_cap(), 8u);
+  cfg.edge_idle_ping = seconds(2);  // the churn workloads' failure detector
+  brunet::BrunetNode b(h, brunet::Address::hash("b"), cfg);
+  EXPECT_EQ(b.stabilize_interval_cap(), 2u);
+  cfg.edge_idle_ping = milliseconds(500);
+  brunet::BrunetNode c(h, brunet::Address::hash("c"), cfg);
+  EXPECT_EQ(c.stabilize_interval_cap(), 1u);  // never below every tick
+  EXPECT_EQ(c.stabilize_interval(), 1u);
+}
+
+TEST(StabilizeBackoff, ConvergedRingQuiescesNeighborQueries) {
+  BigOverlay o(64);
+  ASSERT_TRUE(o.converge(seconds(240))) << "64-node ring did not form";
+  const double n = static_cast<double>(o.nodes.size());
+  // Reference: the rate while the ring formed, when every node
+  // stabilized on every tick.
+  const double forming_rate =
+      static_cast<double>(o.neighbor_queries()) /
+      (n * util::to_seconds(o.net.loop().now()));
+  // Within 30 simulated seconds of convergence the rate has fallen 4x.
+  o.net.loop().run_until(o.net.loop().now() + seconds(20));
+  const auto q0 = o.neighbor_queries();
+  o.net.loop().run_until(o.net.loop().now() + seconds(10));
+  const double quiet_rate =
+      static_cast<double>(o.neighbor_queries() - q0) / (n * 10.0);
+  EXPECT_GT(forming_rate, 2.0);  // up to 2 queries per 500 ms tick
+  EXPECT_LE(4.0 * quiet_rate, forming_rate)
+      << "forming " << forming_rate << " vs quiet " << quiet_rate
+      << " queries/node/s";
+  std::size_t capped = 0;
+  for (const auto& nd : o.nodes) {
+    if (nd->stabilize_interval() == nd->stabilize_interval_cap()) ++capped;
+  }
+  EXPECT_GE(capped, o.nodes.size() * 3 / 4);
+  // Quiet rings keep their edges warm with the query exchange instead of
+  // falling back to keepalive pings: nobody was evicted.
+  for (const auto& nd : o.nodes) {
+    EXPECT_EQ(nd->stats().keepalive_evictions, 0u);
+  }
+}
+
+TEST(StabilizeBackoff, QuiescedRingRepairsJoinAndCrash) {
+  BigOverlay o(65, 2, 2, /*late=*/1);
+  ASSERT_TRUE(o.converge(seconds(240)));
+  o.net.loop().run_until(o.net.loop().now() + seconds(30));  // back off
+  // Late join: the budget RingAbsorbsLateJoin allows (120 ticks).
+  o.nodes.back()->start();
+  EXPECT_TRUE(o.converge(seconds(60))) << "ring did not absorb the join";
+  o.net.loop().run_until(o.net.loop().now() + seconds(30));
+  // Crash (no departure notice): the keepalive repair budget (240 ticks).
+  o.nodes[7]->stop();
+  EXPECT_TRUE(o.converge(seconds(120))) << "ring did not repair the crash";
 }
 
 // --- Traffic shortcuts are pinned ----------------------------------------------

@@ -318,6 +318,42 @@ TEST(Ed25519Test, TamperedMessageOrSignatureRejected) {
   msg[2] ^= 0x01;
   sig.bytes[10] ^= 0x80;  // flip one signature bit
   EXPECT_FALSE(crypto::verify(kp.public_key(), msg, sig));
+  sig.bytes[10] ^= 0x80;
+  ASSERT_TRUE(crypto::verify(kp.public_key(), msg, sig));
+  // Malleability (RFC 8032 section 5.1.7): S + L acts on the base point
+  // exactly like S, so only the S < L check rejects this second encoding
+  // of the same valid signature.
+  constexpr std::uint8_t kOrderL[32] = {
+      0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+      0xa2, 0xde, 0xf9, 0xde, 0x14, 0,    0,    0,    0,    0,    0,
+      0,    0,    0,    0,    0,    0,    0,    0,    0,    0x10};
+  auto malleated = sig;
+  unsigned carry = 0;
+  for (int i = 0; i < 32; ++i) {
+    const unsigned sum = malleated.bytes[32 + i] + kOrderL[i] + carry;
+    malleated.bytes[32 + i] = static_cast<std::uint8_t>(sum);
+    carry = sum >> 8;
+  }
+  ASSERT_EQ(carry, 0u);  // S < L < 2^253, so S + L still fits 32 bytes
+  EXPECT_FALSE(crypto::verify(kp.public_key(), msg, malleated));
+}
+
+TEST(Ed25519Test, MessagePartsSignLikeTheirConcatenation) {
+  Rng rng(4242);
+  const auto kp = crypto::KeyPair::generate(rng);
+  const std::vector<std::uint8_t> header{9, 8, 7};
+  const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5, 6};
+  std::vector<std::uint8_t> whole = header;
+  whole.insert(whole.end(), payload.begin(), payload.end());
+  const auto sig = kp.sign({header, payload});
+  EXPECT_EQ(sig, kp.sign(whole));
+  EXPECT_TRUE(crypto::verify(kp.public_key(), whole, sig));
+  EXPECT_TRUE(crypto::verify(kp.public_key(), {header, payload}, sig));
+  // The split point is not part of the message, but every byte is.
+  const std::span<const std::uint8_t> w(whole);
+  EXPECT_TRUE(
+      crypto::verify(kp.public_key(), {w.first(1), w.subspan(1)}, sig));
+  EXPECT_FALSE(crypto::verify(kp.public_key(), {header}, sig));
 }
 
 TEST(Ed25519Test, GenerateFromRngIsDeterministic) {

@@ -25,6 +25,9 @@ Suites:
          must not fall more than a small tolerance below the committed
          BENCH_churn_soak.json (CI legs run a smaller N whose run name
          differs from the baseline's; baseline-relative rules then skip).
+         neighbor_queries_per_node_s is capped at the committed
+         baseline x 1.1, so the quiet-ring stabilization back-off cannot
+         silently regress (the rate is per node, so it holds at any N).
   scale  — the 10k-node soak, run as a --shards 1 and a --shards 4 leg:
          duplicate_leases == 0 plus the resolution and acquisition
          floors on BOTH legs (the ^ChurnSoak/ regexes match each leg's
@@ -121,6 +124,14 @@ SUITES = {
         "floor": [
             (r"^ChurnSoak/", "resolution_success_rate", 0.99),
             (r"^ChurnSoak/", "lease_acquired_fraction", 0.99),
+        ],
+        # Ring-maintenance cost: NeighborQuery requests per live
+        # node-second over the churn window.  The committed 64-node
+        # baseline reads 2.048 (the soak's 2 s idle ping caps the
+        # back-off at one stabilize round per 2 ticks, 2.0 queries/s);
+        # an always-on stabilizer sends 4.0.  Ceiling = baseline x 1.1.
+        "ceiling": [
+            (r"^ChurnSoak/", "neighbor_queries_per_node_s", 2.25),
         ],
         "baseline_min": [
             (r"^ChurnSoak/", "resolution_success_rate", 0.005),
