@@ -7,6 +7,7 @@
 // JSON format) unless the caller passes its own --benchmark_out flags.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -246,17 +247,22 @@ BENCHMARK(BM_OpenInPlace)->Arg(64)->Arg(1400);
 // and checksums in place (RFC 1624), and re-emits the same buffer.
 
 util::Buffer make_ip_udp_wire(std::size_t payload_size) {
-  net::UdpDatagram d;
-  d.src_port = 5555;
-  d.dst_port = 7000;
-  d.payload.assign(payload_size, 0x42);
   net::Ipv4Packet pkt;
   pkt.hdr.proto = net::IpProto::kUdp;
   pkt.hdr.id = 1;
   pkt.hdr.src = net::Ipv4Address(10, 0, 0, 2);
   pkt.hdr.dst = net::Ipv4Address(8, 0, 0, 10);
-  pkt.payload = util::Buffer::copy_of(
-      d.encode(pkt.hdr.src, pkt.hdr.dst), util::kPacketHeadroom);
+  pkt.payload = util::Buffer::allocate(
+      net::UdpView::kHeaderSize + payload_size, util::kPacketHeadroom);
+  std::uint8_t* p = pkt.payload.data();
+  net::UdpView::write_header(p, 5555, 7000, payload_size);
+  std::fill_n(p + net::UdpView::kHeaderSize, payload_size, 0x42);
+  // A real pseudo-header checksum (0 is sent as 0xFFFF, RFC 768), so the
+  // NAT rewrite has a checksum to patch incrementally.
+  std::uint16_t csum = net::transport_checksum(
+      pkt.hdr.src, pkt.hdr.dst, net::IpProto::kUdp, pkt.payload);
+  if (csum == 0) csum = 0xFFFF;
+  util::store_u16(p + net::UdpView::kChecksumOffset, csum);
   return pkt.take_wire();
 }
 
@@ -344,19 +350,22 @@ void BM_NatForwardSim(benchmark::State& state) {
   for (int i = 1; i < flows; ++i) {
     auto sock =
         inside.stack().udp_bind(static_cast<std::uint16_t>(20000 + i));
-    sock->send_to(net::Ipv4Address(8, 0, 0, 2), 7000, {0x42});
+    sock->send_to(net::Ipv4Address(8, 0, 0, 2), 7000,
+                  util::Buffer::filled(1, 0x42));
     background.push_back(std::move(sock));
     // Drain in batches so the one-shot burst does not overrun the link
     // queue (a dropped datagram would never create its mapping).
     if (i % 64 == 0) netw.loop().run_for(util::milliseconds(10));
   }
   // Warm up ARP resolution and the measured flow's NAT mapping.
-  client->send_to(net::Ipv4Address(8, 0, 0, 2), 7000, payload);
+  client->send_to(net::Ipv4Address(8, 0, 0, 2), 7000,
+                  util::Buffer::wrap(payload));
   netw.loop().run_for(util::seconds(1));
   const auto copied_before = nat.stack().counters().payload_bytes_copied;
   const auto received_before = received;
   for (auto _ : state) {
-    client->send_to(net::Ipv4Address(8, 0, 0, 2), 7000, payload);
+    client->send_to(net::Ipv4Address(8, 0, 0, 2), 7000,
+                    util::Buffer::wrap(payload));
     netw.loop().run_for(util::milliseconds(1));
   }
   const auto iters = static_cast<double>(state.iterations());
@@ -459,7 +468,8 @@ struct UdpFanoutEnv {
         [this](net::Ipv4Address, std::uint16_t, util::Buffer) { ++received; });
     tx = tx_host->stack().udp_bind(5000);
     // ARP warmup.
-    tx->send_to(net::Ipv4Address(10, 0, 0, 2), 7000, {0x1});
+    tx->send_to(net::Ipv4Address(10, 0, 0, 2), 7000,
+                util::Buffer::filled(1, 0x1));
     netw.loop().run_for(util::seconds(1));
   }
 };
@@ -479,7 +489,8 @@ void BM_UdpFanoutCopyPerDest(benchmark::State& state) {
     for (int i = 0; i < replicas; ++i) {
       std::vector<std::uint8_t> wire = header;
       wire.insert(wire.end(), payload.begin(), payload.end());
-      env.tx->send_to(net::Ipv4Address(10, 0, 0, 2), 7000, std::move(wire));
+      env.tx->send_to(net::Ipv4Address(10, 0, 0, 2), 7000,
+                      util::Buffer::wrap(std::move(wire)));
     }
     env.netw.loop().run_for(util::milliseconds(1));
   }
@@ -532,6 +543,9 @@ void BM_UdpFanoutBatchShared(benchmark::State& state) {
 }
 BENCHMARK(BM_UdpFanoutBatchShared)->Arg(8);
 
+/// One data segment through the stack's real path: gather the payload
+/// out of a send-queue chain into the wire image, then what the receiver
+/// does — verify the pseudo-header checksum and parse the view.
 void BM_TcpSegmentRoundTrip(benchmark::State& state) {
   const auto src = net::Ipv4Address(10, 0, 0, 1);
   const auto dst = net::Ipv4Address(10, 0, 0, 2);
@@ -539,10 +553,15 @@ void BM_TcpSegmentRoundTrip(benchmark::State& state) {
   seg.src_port = 1234;
   seg.dst_port = 80;
   seg.flags.ack = true;
-  seg.payload.assign(1160, 0x42);
+  const util::BufferChain queue(util::Buffer::filled(1160, 0x42));
   for (auto _ : state) {
-    auto bytes = seg.encode(src, dst);
-    benchmark::DoNotOptimize(net::TcpSegment::decode(bytes, src, dst));
+    auto wire = seg.encode_gather(src, dst, util::kPacketHeadroom, queue, 0,
+                                  queue.size());
+    if (net::transport_checksum(src, dst, net::IpProto::kTcp, wire) != 0) {
+      state.SkipWithError("bad TCP checksum");
+      break;
+    }
+    benchmark::DoNotOptimize(net::TcpView::parse(wire.view()));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           1160);

@@ -20,11 +20,6 @@ util::Buffer IcmpMessage::encode_buffer(std::size_t headroom) const {
   return buf;
 }
 
-std::vector<std::uint8_t> IcmpMessage::encode() const {
-  // lint:allow(zero-copy): legacy vector codec kept for tests; the data plane uses encode_buffer
-  return encode_buffer(0).to_vector();
-}
-
 IcmpView IcmpView::parse_headers(util::BufferView bytes) {
   util::ByteReader r(bytes);
   IcmpView m;
@@ -42,18 +37,6 @@ IcmpView IcmpView::parse(util::BufferView bytes) {
     throw util::ParseError("bad ICMP checksum");
   }
   return parse_headers(bytes);
-}
-
-IcmpMessage IcmpMessage::decode(util::BufferView bytes) {
-  IcmpView v = IcmpView::parse(bytes);
-  IcmpMessage m;
-  m.type = v.type;
-  m.code = v.code;
-  m.id = v.id;
-  m.seq = v.seq;
-  // lint:allow(zero-copy): legacy struct decode kept for tests; the data plane parses views
-  m.payload = v.payload.to_vector();
-  return m;
 }
 
 }  // namespace ipop::net

@@ -1,4 +1,5 @@
-// ICMP codec: echo request/reply plus the error types the stack generates.
+// ICMP builder and parser: echo request/reply plus the error types the
+// stack generates.
 //
 // The paper's Table I and Figure 5 are built from ICMP round-trip times
 // ("ping"), so echo handling is a first-class citizen of the simulated
@@ -20,6 +21,8 @@ enum class IcmpType : std::uint8_t {
   kTimeExceeded = 11,
 };
 
+/// Builder for the echo requests and errors the stack originates; every
+/// received message is read through IcmpView.
 struct IcmpMessage {
   IcmpType type = IcmpType::kEchoRequest;
   std::uint8_t code = 0;
@@ -31,19 +34,9 @@ struct IcmpMessage {
   /// Echo payload, or the original IP header + 8 bytes for errors.
   std::vector<std::uint8_t> payload;
 
-  std::vector<std::uint8_t> encode() const;
   /// Encode into a shared buffer with `headroom` spare front bytes so the
   /// IP and Ethernet headers prepend downstream without copying.
   util::Buffer encode_buffer(std::size_t headroom) const;
-  /// Throws util::ParseError on truncation or bad checksum.
-  static IcmpMessage decode(util::BufferView bytes);
-
-  bool is_echo() const {
-    return type == IcmpType::kEchoRequest || type == IcmpType::kEchoReply;
-  }
-  bool is_error() const {
-    return type == IcmpType::kDestUnreachable || type == IcmpType::kTimeExceeded;
-  }
 };
 
 /// Zero-copy parsed ICMP message: `payload` aliases the input view.  Lets

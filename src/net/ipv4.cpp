@@ -1,6 +1,5 @@
 #include "net/ipv4.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdio>
 
@@ -114,15 +113,6 @@ void Ipv4Packet::encode_header(std::uint8_t* out, const Ipv4Header& hdr,
                                 out, Ipv4Header::kSize)));
 }
 
-std::vector<std::uint8_t> Ipv4Packet::encode() const {
-  std::vector<std::uint8_t> bytes(total_length());
-  encode_header(bytes.data(), hdr, total_length());
-  // lint:allow(zero-copy): legacy vector codec kept for tests; the data plane uses take_wire()
-  std::copy(payload.begin(), payload.end(),
-            bytes.begin() + Ipv4Header::kSize);
-  return bytes;
-}
-
 util::Buffer Ipv4Packet::take_wire() {
   util::Buffer wire = std::move(payload);
   const std::size_t total = Ipv4Header::kSize + wire.size();
@@ -159,15 +149,6 @@ Ipv4View Ipv4View::parse(util::BufferView bytes) {
     throw util::ParseError("bad IPv4 header checksum");
   }
   p.payload = r.view_bytes(total_len - Ipv4Header::kSize);
-  return p;
-}
-
-Ipv4Packet Ipv4Packet::decode(util::BufferView bytes) {
-  Ipv4View v = Ipv4View::parse(bytes);
-  Ipv4Packet p;
-  p.hdr = v.hdr;
-  // lint:allow(zero-copy): span-entry API edge — receive path adopts the frame via decode(Buffer) instead
-  p.payload = util::Buffer::copy_of(v.payload, util::kPacketHeadroom);
   return p;
 }
 

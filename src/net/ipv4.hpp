@@ -84,13 +84,10 @@ struct Ipv4Packet {
 
   std::size_t total_length() const { return Ipv4Header::kSize + payload.size(); }
 
-  /// Owning serialization with computed header checksum (tests,
-  /// compatibility); leaves `payload` untouched.
-  std::vector<std::uint8_t> encode() const;
   /// Write the 20-byte header (with computed checksum) for a packet of
   /// `total_len` bytes into a pre-sized slot — the single definition of
-  /// the header wire format, shared by encode(), take_wire() and the
-  /// ICMP error path's truncated RFC 792 quote.
+  /// the header wire format, shared by take_wire() and the ICMP error
+  /// path's truncated RFC 792 quote.
   static void encode_header(std::uint8_t* out, const Ipv4Header& hdr,
                             std::size_t total_len);
   /// Consume `payload` and return the wire image: the 20-byte header is
@@ -104,11 +101,9 @@ struct Ipv4Packet {
     return payload.use_count() == 1 &&
            payload.headroom() >= Ipv4Header::kSize + link_headroom;
   }
-  /// Copying decode for non-owned input.  Throws util::ParseError on
-  /// malformed input or bad header checksum.
-  static Ipv4Packet decode(util::BufferView bytes);
   /// Zero-copy decode: adopts `bytes` as the payload's backing store (the
-  /// 20 header bytes and any link padding become head/tailroom).
+  /// 20 header bytes and any link padding become head/tailroom).  Throws
+  /// util::ParseError on malformed input or bad header checksum.
   static Ipv4Packet decode(util::Buffer bytes);
 };
 
@@ -121,7 +116,7 @@ struct Ipv4View {
   util::BufferView payload;
 
   /// Validates version/IHL/fragmentation/total-length/header checksum;
-  /// throws util::ParseError like Ipv4Packet::decode.
+  /// throws util::ParseError on failure.
   static Ipv4View parse(util::BufferView bytes);
 };
 

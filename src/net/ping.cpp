@@ -12,7 +12,7 @@ std::uint16_t g_next_ping_id = 1;
 
 EchoReplyHandlerChain::EchoReplyHandlerChain(Stack& stack) {
   stack.set_echo_reply_handler(
-      [this](Ipv4Address /*src*/, const IcmpMessage& msg) {
+      [this](Ipv4Address /*src*/, const IcmpView& msg) {
         auto it = handlers_.find(msg.id);
         if (it != handlers_.end()) it->second(msg);
       });
@@ -42,7 +42,7 @@ void Pinger::run(Ipv4Address dst, const Options& opts,
   result_ = PingResult{};
   next_seq_ = 0;
   EchoReplyHandlerChain::for_stack(stack_).add(
-      id_, [this](const IcmpMessage& msg) { on_reply(msg); });
+      id_, [this](const IcmpView& msg) { on_reply(msg); });
   send_next();
 }
 
@@ -70,7 +70,7 @@ void Pinger::send_next() {
                                });
 }
 
-void Pinger::on_reply(const IcmpMessage& msg) {
+void Pinger::on_reply(const IcmpView& msg) {
   if (msg.payload.size() < 8) return;
   util::ByteReader r(msg.payload);
   const auto sent_ns = static_cast<std::int64_t>(r.u64());

@@ -189,7 +189,7 @@ void Stack::process_frame(std::size_t iface, sim::Frame frame) {
       // Hand the frame buffer itself to the IP layer: the 14 stripped
       // Ethernet bytes become headroom and the stored payload bytes are
       // never copied again on this host.
-      frame.drop_front(EthernetFrame::kHeaderSize);
+      frame.drop_front(EthernetView::kHeaderSize);
       handle_ip(iface, std::move(frame));
       break;
     default:
@@ -227,12 +227,8 @@ void Stack::handle_arp(std::size_t iface,
     reply.sender_ip = ifc.cfg.ip;
     reply.target_mac = msg.sender_mac;
     reply.target_ip = msg.sender_ip;
-    EthernetFrame eth;
-    eth.dst = msg.sender_mac;
-    eth.src = ifc.cfg.mac;
-    eth.type = EtherType::kArp;
-    eth.payload = reply.encode();
-    emit_frame(iface, util::Buffer::wrap(eth.encode()));
+    emit_frame(iface, frame_onto(util::Buffer::wrap(reply.encode()),
+                                 msg.sender_mac, ifc.cfg.mac, EtherType::kArp));
   }
 }
 
@@ -384,12 +380,9 @@ void Stack::send_arp_request(std::size_t iface, Ipv4Address target) {
   req.sender_mac = ifc.cfg.mac;
   req.sender_ip = ifc.cfg.ip;
   req.target_ip = target;
-  EthernetFrame eth;
-  eth.dst = MacAddress::broadcast();
-  eth.src = ifc.cfg.mac;
-  eth.type = EtherType::kArp;
-  eth.payload = req.encode();
-  emit_frame(iface, util::Buffer::wrap(eth.encode()));
+  emit_frame(iface, frame_onto(util::Buffer::wrap(req.encode()),
+                               MacAddress::broadcast(), ifc.cfg.mac,
+                               EtherType::kArp));
 }
 
 void Stack::emit_ip(std::size_t iface, MacAddress dst, Ipv4Packet pkt) {
@@ -401,7 +394,7 @@ void Stack::emit_ip(std::size_t iface, MacAddress dst, Ipv4Packet pkt) {
     // lint:allow(zero-copy): copy_at_stack_crossing ablation mode — the copy IS the experiment
     pkt.payload = pkt.payload.clone(util::kPacketHeadroom);
   }
-  if (!pkt.wire_in_place(EthernetFrame::kHeaderSize)) {
+  if (!pkt.wire_in_place(EthernetView::kHeaderSize)) {
     // Shared or cramped storage: the header prepend reallocates once.
     counters_.payload_bytes_copied += pkt.payload.size();
   }
@@ -455,17 +448,8 @@ void Stack::deliver_icmp(Ipv4Packet pkt) {
     ++counters_.dropped_parse;
     return;
   }
-  // Handlers receive an owning message (the kernel/user crossing).
-  auto to_message = [&msg] {
-    IcmpMessage m;
-    m.type = msg.type;
-    m.code = msg.code;
-    m.id = msg.id;
-    m.seq = msg.seq;
-    // lint:allow(zero-copy): echo-handler struct compat — ICMP control plane, not forwarded traffic
-    m.payload = msg.payload.to_vector();
-    return m;
-  };
+  // Handlers run synchronously and read the view in place; it aliases
+  // `pkt`, which outlives every call below.
   switch (msg.type) {
     case IcmpType::kEchoRequest: {
       ++counters_.icmp_echo_replied;
@@ -497,7 +481,7 @@ void Stack::deliver_icmp(Ipv4Packet pkt) {
       break;
     }
     case IcmpType::kEchoReply:
-      if (echo_reply_handler_) echo_reply_handler_(pkt.hdr.src, to_message());
+      if (echo_reply_handler_) echo_reply_handler_(pkt.hdr.src, msg);
       break;
     case IcmpType::kDestUnreachable:
     case IcmpType::kTimeExceeded:
@@ -521,7 +505,7 @@ void Stack::deliver_icmp(Ipv4Packet pkt) {
         // restores the displaced handler from inside its last callback),
         // and reassigning the member would destroy the executing closure.
         auto handler = icmp_error_handler_;
-        handler(pkt.hdr.src, to_message());
+        handler(pkt.hdr.src, msg);
       }
       break;
   }
@@ -607,14 +591,20 @@ void Stack::deliver_udp(Ipv4Packet pkt) {
   // header (and any padding past the length field) without copying.
   util::Buffer data = std::move(pkt.payload);
   data.drop_back(data.size() - dgram.length);
-  data.drop_front(UdpDatagram::kHeaderSize);
+  data.drop_front(UdpView::kHeaderSize);
   sock->deliver(src, sport, std::move(data));
 }
 
 void Stack::deliver_tcp(const Ipv4Packet& pkt) {
-  TcpSegment seg;
+  // The segment is read in place: the view aliases `pkt`, and the socket
+  // consumes it synchronously.  A bad checksum counts as a parse drop.
+  TcpView seg;
   try {
-    seg = TcpSegment::decode(pkt.payload, pkt.hdr.src, pkt.hdr.dst);
+    if (transport_checksum(pkt.hdr.src, pkt.hdr.dst, IpProto::kTcp,
+                           pkt.payload) != 0) {
+      throw util::ParseError("bad TCP checksum");
+    }
+    seg = TcpView::parse(pkt.payload.view());
   } catch (const util::ParseError&) {
     ++counters_.dropped_parse;
     return;
@@ -634,7 +624,7 @@ void Stack::deliver_tcp(const Ipv4Packet& pkt) {
   if (!seg.flags.rst) send_tcp_rst_for(pkt, seg);
 }
 
-void Stack::send_tcp_rst_for(const Ipv4Packet& pkt, const TcpSegment& seg) {
+void Stack::send_tcp_rst_for(const Ipv4Packet& pkt, const TcpView& seg) {
   TcpSegment rst;
   rst.src_port = seg.dst_port;
   rst.dst_port = seg.src_port;
@@ -728,13 +718,6 @@ void Stack::tcp_unregister(const TcpKey& key) { tcp_socks_.erase(key); }
 // --------------------------------------------------------------------------
 
 void UdpSocket::send_to(Ipv4Address dst, std::uint16_t dst_port,
-                        std::vector<std::uint8_t> data) {
-  // The wrapped vector has no headroom, so the header prepend below
-  // reallocates once — the copy a real sendto() performs.
-  send_to(dst, dst_port, util::Buffer::wrap(std::move(data)));
-}
-
-void UdpSocket::send_to(Ipv4Address dst, std::uint16_t dst_port,
                         util::Buffer data) {
   if (stack_ == nullptr) return;
   ++stack_->counters_.udp_send_calls;
@@ -773,10 +756,10 @@ void UdpSocket::emit_datagram(Ipv4Address dst, std::uint16_t dst_port,
     // payload_bytes_gathered — DMA descriptor work, not a CPU copy on
     // the send path — except under the copy_at_stack_crossing ablation,
     // where it is exactly the historical kernel copy.
-    data = util::Buffer::allocate(UdpDatagram::kHeaderSize + payload_len,
+    data = util::Buffer::allocate(UdpView::kHeaderSize + payload_len,
                                   util::kPacketHeadroom);
-    UdpDatagram::write_header(data.data(), port_, dst_port, payload_len);
-    payload.gather(0, data.writable().subspan(UdpDatagram::kHeaderSize));
+    UdpView::write_header(data.data(), port_, dst_port, payload_len);
+    payload.gather(0, data.writable().subspan(UdpView::kHeaderSize));
     if (stack_->cfg_.copy_at_stack_crossing) {
       stack_->counters_.payload_bytes_copied += payload_len;
     } else {
@@ -792,14 +775,14 @@ void UdpSocket::emit_datagram(Ipv4Address dst, std::uint16_t dst_port,
       data = data.clone(util::kPacketHeadroom);
     }
     if (!(data.use_count() == 1 &&
-          data.headroom() >= UdpDatagram::kHeaderSize)) {
+          data.headroom() >= UdpView::kHeaderSize)) {
       stack_->counters_.payload_bytes_copied += data.size();
     }
     // The 8-byte header lands in the user buffer's headroom: the send
     // crosses into the simulated kernel without copying the payload (the
     // copy the paper's Section V.2 proposes eliminating).
-    auto slot = data.grow_front(UdpDatagram::kHeaderSize);
-    UdpDatagram::write_header(slot.data(), port_, dst_port, payload_len);
+    auto slot = data.grow_front(UdpView::kHeaderSize);
+    UdpView::write_header(slot.data(), port_, dst_port, payload_len);
   }
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kUdp;
@@ -812,21 +795,14 @@ void UdpSocket::emit_datagram(Ipv4Address dst, std::uint16_t dst_port,
 void UdpSocket::deliver(Ipv4Address src, std::uint16_t src_port,
                         util::Buffer data) {
   ++rx_;
-  if (buf_handler_) {
-    if (stack_ != nullptr && stack_->cfg_.copy_at_stack_crossing) {
-      // Ablation: force the historical kernel/user delivery copy.
-      stack_->counters_.payload_bytes_copied += data.size();
-      // lint:allow(zero-copy): copy_at_stack_crossing ablation mode — the copy IS the experiment
-      data = data.clone();
-    }
-    buf_handler_(src, src_port, std::move(data));
-  } else if (handler_) {
-    if (stack_ != nullptr) {
-      stack_->counters_.payload_bytes_copied += data.size();
-    }
-    // lint:allow(zero-copy): legacy vector-handler delivery, counted above; zero-copy apps use buf_handler_
-    handler_(src, src_port, data.to_vector());
+  if (!handler_) return;
+  if (stack_ != nullptr && stack_->cfg_.copy_at_stack_crossing) {
+    // Ablation: force the historical kernel/user delivery copy.
+    stack_->counters_.payload_bytes_copied += data.size();
+    // lint:allow(zero-copy): copy_at_stack_crossing ablation mode — the copy IS the experiment
+    data = data.clone();
   }
+  handler_(src, src_port, std::move(data));
 }
 
 void UdpSocket::close() {

@@ -1,4 +1,4 @@
-// TCP segment codec (header + flags + checksum).
+// TCP segment header writer and parser (header + flags + checksum).
 //
 // Wire format only; connection state, sliding windows and Reno congestion
 // control live in net/tcp.hpp.  Brunet's TCP transport mode and every
@@ -41,6 +41,9 @@ struct TcpFlags {
   std::string to_string() const;
 };
 
+/// Header fields of a segment this host originates.  Control segments
+/// (SYN, ACK, FIN, RST) carry no payload; data segments gather theirs
+/// from the send queue.
 struct TcpSegment {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
@@ -48,35 +51,29 @@ struct TcpSegment {
   std::uint32_t ack = 0;
   TcpFlags flags;
   std::uint16_t window = 0;
-  std::vector<std::uint8_t> payload;
 
   static constexpr std::size_t kHeaderSize = 20;  // no options
 
-  /// Encode with a valid pseudo-header checksum.
-  std::vector<std::uint8_t> encode(Ipv4Address src_ip,
-                                   Ipv4Address dst_ip) const;
-  /// Encode into a shared buffer with `headroom` spare front bytes so the
-  /// IP and Ethernet headers prepend downstream without copying.
+  /// Encode the bare header, with a valid pseudo-header checksum, into a
+  /// shared buffer with `headroom` spare front bytes so the IP and
+  /// Ethernet headers prepend downstream without copying.
   util::Buffer encode_buffer(Ipv4Address src_ip, Ipv4Address dst_ip,
                              std::size_t headroom) const;
-  /// Scatter-gather encode: header fields come from *this (this->payload
-  /// is ignored), the payload bytes are gathered straight out of
-  /// [offset, offset+len) of `queue` into the wire image — the send
+  /// Scatter-gather encode: the payload bytes are gathered straight out
+  /// of [offset, offset+len) of `queue` into the wire image — the send
   /// queue's bytes reach the segment without an intermediate owning
   /// vector.  The checksum covers the gathered bytes.
   util::Buffer encode_gather(Ipv4Address src_ip, Ipv4Address dst_ip,
                              std::size_t headroom,
                              const util::BufferChain& queue,
                              std::size_t offset, std::size_t len) const;
-  /// Throws util::ParseError on truncation or checksum failure.
-  static TcpSegment decode(std::span<const std::uint8_t> bytes,
-                           Ipv4Address src_ip, Ipv4Address dst_ip);
 };
 
 /// Zero-copy parsed TCP header: `payload` aliases the input view.
-/// Structural checks only (TcpSegment::decode validates the checksum) —
-/// what middleboxes reading ports need.  Field offsets are exposed so NAT
-/// can patch ports/checksum in place.
+/// Structural checks only — what middleboxes reading ports need; the
+/// receiving stack validates the checksum with transport_checksum before
+/// it parses.  Field offsets are exposed so NAT can patch ports/checksum
+/// in place.
 struct TcpView {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;

@@ -785,7 +785,7 @@ struct DhtFixture : ::testing::Test {
 /// Unwrap a typed DHT record into the raw value bytes the assertions
 /// compare against.
 std::optional<std::vector<std::uint8_t>> record_value(
-    std::optional<Record> rec) {
+    const std::optional<Record>& rec) {
   if (!rec) return std::nullopt;
   return rec->value.to_vector();
 }
@@ -798,7 +798,7 @@ TEST_F(DhtFixture, PutThenGetFromAnyNode) {
   ASSERT_TRUE(put_ok);
   for (std::size_t i = 0; i < dhts.size(); ++i) {
     std::optional<std::vector<std::uint8_t>> got;
-    dhts[i]->get(key, [&](auto v) { got = record_value(std::move(v)); });
+    dhts[i]->get(key, [&](auto v) { got = record_value(v); });
     f.net.loop().run_until(f.net.loop().now() + seconds(5));
     ASSERT_TRUE(got.has_value()) << "get from node " << i;
     EXPECT_EQ(*got, (std::vector<std::uint8_t>{1, 2, 3}));
@@ -809,7 +809,7 @@ TEST_F(DhtFixture, GetMissingKeyReturnsNullopt) {
   std::optional<std::vector<std::uint8_t>> got{{9}};
   bool called = false;
   dhts[3]->get(Address::hash("never-stored"), [&](auto v) {
-    got = record_value(std::move(v));
+    got = record_value(v);
     called = true;
   });
   f.net.loop().run_until(f.net.loop().now() + seconds(5));
@@ -824,7 +824,7 @@ TEST_F(DhtFixture, OverwriteKeepsNewestValue) {
   dhts[2]->put(key, {2}, [](bool) {});
   f.net.loop().run_until(f.net.loop().now() + seconds(2));
   std::optional<std::vector<std::uint8_t>> got;
-  dhts[4]->get(key, [&](auto v) { got = record_value(std::move(v)); });
+  dhts[4]->get(key, [&](auto v) { got = record_value(v); });
   f.net.loop().run_until(f.net.loop().now() + seconds(5));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, (std::vector<std::uint8_t>{2}));
@@ -854,7 +854,7 @@ TEST_F(DhtFixture, SurvivesOwnerFailure) {
   f.net.loop().run_until(f.net.loop().now() + seconds(10));
   std::size_t asker = (owner + 1) % dhts.size();
   std::optional<std::vector<std::uint8_t>> got;
-  dhts[asker]->get(key, [&](auto v) { got = record_value(std::move(v)); });
+  dhts[asker]->get(key, [&](auto v) { got = record_value(v); });
   f.net.loop().run_until(f.net.loop().now() + seconds(5));
   ASSERT_TRUE(got.has_value()) << "value lost after owner failure";
   EXPECT_EQ(*got, (std::vector<std::uint8_t>{7, 7}));
@@ -873,7 +873,7 @@ TEST_F(DhtFixture, CreateIsAtomicFirstWriterWins) {
   EXPECT_FALSE(second_ok);
   // ...and the stored value stays the first writer's.
   std::optional<std::vector<std::uint8_t>> got;
-  dhts[3]->get(key, [&](auto v) { got = record_value(std::move(v)); });
+  dhts[3]->get(key, [&](auto v) { got = record_value(v); });
   f.net.loop().run_until(f.net.loop().now() + seconds(5));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, (std::vector<std::uint8_t>{1, 1, 1}));
@@ -959,7 +959,7 @@ TEST_F(DhtFixture, WireTtlRunsFromTheWriteNotFromEachCopy) {
                                 ? (owner + 4) % dhts.size()
                                 : (owner + 3) % dhts.size();
   dhts[asker]->get(key, [&](auto v) {
-    got = record_value(std::move(v));
+    got = record_value(v);
     done = true;
   });
   f.net.loop().run_until(f.net.loop().now() + seconds(10));
@@ -999,7 +999,7 @@ TEST_F(DhtFixture, HandoffSurvivesSimultaneousAdjacentDepartures) {
   std::size_t asker = 0;
   while (asker == owner || asker == successor) ++asker;
   std::optional<std::vector<std::uint8_t>> got;
-  dhts[asker]->get(key, [&](auto v) { got = record_value(std::move(v)); });
+  dhts[asker]->get(key, [&](auto v) { got = record_value(v); });
   f.net.loop().run_until(f.net.loop().now() + seconds(5));
   ASSERT_TRUE(got.has_value())
       << "record lost when two adjacent owners departed together";
@@ -1231,7 +1231,7 @@ TEST_F(SignedDhtFixture, ForeignCreateOnHeldKeyIsRejected) {
   EXPECT_GE(total_owner_rejects(), 1u);
   // The stored record still carries the first owner's value.
   std::optional<std::vector<std::uint8_t>> got;
-  dhts[3]->get(key, [&](auto v) { got = record_value(std::move(v)); });
+  dhts[3]->get(key, [&](auto v) { got = record_value(v); });
   f.net.loop().run_until(f.net.loop().now() + seconds(5));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, (std::vector<std::uint8_t>{1, 2, 3}));
@@ -1251,7 +1251,7 @@ TEST_F(SignedDhtFixture, ForeignPutCannotOverwriteSignedRecord) {
   EXPECT_FALSE(stomp);
   EXPECT_GE(total_owner_rejects(), 1u);
   std::optional<std::vector<std::uint8_t>> got;
-  dhts[2]->get(key, [&](auto v) { got = record_value(std::move(v)); });
+  dhts[2]->get(key, [&](auto v) { got = record_value(v); });
   f.net.loop().run_until(f.net.loop().now() + seconds(5));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, (std::vector<std::uint8_t>{5}));

@@ -43,10 +43,10 @@ TEST_F(TapFixture, KernelFrameReachesUserFace) {
   h->stack().send_echo_request(ip("172.16.0.77"), 1, 1);
   net.loop().run_until(seconds(2));
   ASSERT_EQ(captured.size(), 1u);
-  auto eth = net::EthernetFrame::decode(captured[0]);
+  auto eth = net::EthernetView::parse(captured[0].view());
   EXPECT_EQ(eth.type, net::EtherType::kIpv4);
   EXPECT_EQ(eth.dst, tap->gateway_mac());  // ARP containment: gateway MAC
-  auto pkt = net::Ipv4Packet::decode(eth.payload);
+  auto pkt = net::Ipv4View::parse(eth.payload);
   EXPECT_EQ(pkt.hdr.dst, ip("172.16.0.77"));
   EXPECT_EQ(pkt.hdr.src, ip("172.16.0.9"));
 }
@@ -54,7 +54,7 @@ TEST_F(TapFixture, KernelFrameReachesUserFace) {
 TEST_F(TapFixture, NoArpEverEmittedOnTap) {
   int arp_frames = 0;
   tap->set_frame_handler([&](util::Buffer f) {
-    auto eth = net::EthernetFrame::decode(f);
+    auto eth = net::EthernetView::parse(f.view());
     if (eth.type == net::EtherType::kArp) ++arp_frames;
   });
   for (int i = 0; i < 5; ++i) {
@@ -69,7 +69,7 @@ TEST_F(TapFixture, NoArpEverEmittedOnTap) {
 TEST_F(TapFixture, InjectedFrameReachesKernel) {
   int replies = 0;
   h->stack().set_echo_reply_handler(
-      [&](net::Ipv4Address, const net::IcmpMessage&) { ++replies; });
+      [&](net::Ipv4Address, const net::IcmpView&) { ++replies; });
   // Build an echo *reply* as IPOP would inject it.
   net::IcmpMessage icmp;
   icmp.type = net::IcmpType::kEchoReply;
@@ -78,13 +78,9 @@ TEST_F(TapFixture, InjectedFrameReachesKernel) {
   pkt.hdr.proto = net::IpProto::kIcmp;
   pkt.hdr.src = ip("172.16.0.77");
   pkt.hdr.dst = ip("172.16.0.9");
-  pkt.payload = util::Buffer::wrap(icmp.encode());
-  net::EthernetFrame eth;
-  eth.dst = tap->kernel_mac();
-  eth.src = tap->gateway_mac();
-  eth.type = net::EtherType::kIpv4;
-  eth.payload = pkt.encode();
-  tap->write_frame(util::Buffer::wrap(eth.encode()));
+  pkt.payload = icmp.encode_buffer(util::kPacketHeadroom);
+  tap->write_frame(net::frame_onto(pkt.take_wire(), tap->kernel_mac(),
+                                   tap->gateway_mac(), net::EtherType::kIpv4));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(replies, 1);
 }
@@ -100,8 +96,8 @@ TEST_F(TapFixture, CapturedFramesCarryHeadroomForEncapsulation) {
   net.loop().run_until(seconds(2));
   ASSERT_EQ(captured.size(), 1u);
   util::Buffer frame = std::move(captured[0]);
-  const std::uint8_t* ip_start = frame.data() + net::EthernetFrame::kHeaderSize;
-  frame.drop_front(net::EthernetFrame::kHeaderSize);
+  const std::uint8_t* ip_start = frame.data() + net::EthernetView::kHeaderSize;
+  frame.drop_front(net::EthernetView::kHeaderSize);
   ASSERT_GE(frame.headroom(), brunet::Packet::kHeaderSize);
   // The encapsulation itself must not move the IP bytes.
   brunet::Packet pkt;
@@ -213,6 +209,23 @@ TEST_F(IpopLanFixture, PingAcrossVirtualNetwork) {
   EXPECT_GT(res.rtts_ms.mean(), 0.5);  // tunneled: slower than raw LAN
   EXPECT_GT(nodes[0]->metrics().packets_tunneled, 0u);
   EXPECT_GT(nodes[1]->metrics().packets_injected, 0u);
+}
+
+TEST_F(IpopLanFixture, StrayKernelArpIsAnsweredWithGatewayMac) {
+  build(1);
+  // An on-link route with no static ARP entry makes the kernel ARP on
+  // the tap; IPOP answers locally with the gateway MAC, so the queued
+  // packet is released toward IPOP instead of failing resolution.
+  auto& stack = hosts[0]->stack();
+  const auto tap_if = stack.interface_by_name("tap0");
+  ASSERT_TRUE(tap_if.has_value());
+  stack.add_route(net::Ipv4Prefix::parse("192.0.2.0/24"), *tap_if);
+  stack.send_echo_request(ip("192.0.2.1"), 1, 1);
+  net.loop().run_until(net.loop().now() + seconds(5));
+  EXPECT_EQ(nodes[0]->metrics().arp_contained, 1u);
+  EXPECT_EQ(stack.counters().dropped_arp_fail, 0u);
+  // Released packet: addressed off the virtual subnet, so IPOP drops it.
+  EXPECT_EQ(nodes[0]->metrics().dropped_non_ip, 1u);
 }
 
 TEST_F(IpopLanFixture, UnmodifiedTcpAppRunsOverIpop) {

@@ -74,7 +74,7 @@ TEST_P(NatFixture, OutboundUdpIsTranslatedAndRepliesReturn) {
   Ipv4Address seen_src;
   std::uint16_t seen_port = 0;
   server->set_receive_handler(
-      [&](Ipv4Address src, std::uint16_t sport, std::vector<std::uint8_t> d) {
+      [&](Ipv4Address src, std::uint16_t sport, util::Buffer d) {
         seen_src = src;
         seen_port = sport;
         server->send_to(src, sport, std::move(d));
@@ -82,10 +82,10 @@ TEST_P(NatFixture, OutboundUdpIsTranslatedAndRepliesReturn) {
   auto client = inside->stack().udp_bind(5555);
   std::vector<std::uint8_t> reply;
   client->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t> d) {
-        reply = std::move(d);
+      [&](Ipv4Address, std::uint16_t, util::Buffer d) {
+        reply = d.to_vector();
       });
-  client->send_to(ip("8.0.0.10"), 7000, {1, 2, 3});
+  client->send_to(ip("8.0.0.10"), 7000, util::Buffer::wrap({1, 2, 3}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(seen_src, ip("8.0.0.1"));  // translated to the NAT's external IP
   EXPECT_NE(seen_port, 5555);          // translated port
@@ -98,22 +98,22 @@ TEST_P(NatFixture, ThirdPartyInboundFollowsNatTypeRules) {
   auto server = pub1->stack().udp_bind(7000);
   std::uint16_t mapped_port = 0;
   server->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t sport, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t sport, util::Buffer) {
         mapped_port = sport;
       });
   auto client = inside->stack().udp_bind(5555);
   int inside_got = 0;
   client->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {
         ++inside_got;
       });
-  client->send_to(ip("8.0.0.10"), 7000, {1});
+  client->send_to(ip("8.0.0.10"), 7000, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(1));
   ASSERT_NE(mapped_port, 0);
 
   // pub2 (different IP, some port) sends to the mapping.
   auto probe = pub2->stack().udp_bind(9000);
-  probe->send_to(ip("8.0.0.1"), mapped_port, {0x77});
+  probe->send_to(ip("8.0.0.1"), mapped_port, util::Buffer::wrap({0x77}));
   net.loop().run_until(seconds(2));
 
   const bool should_pass = GetParam() == NatType::kFullCone;
@@ -126,21 +126,21 @@ TEST_P(NatFixture, SameHostDifferentPortFollowsNatTypeRules) {
   auto server = pub1->stack().udp_bind(7000);
   std::uint16_t mapped_port = 0;
   server->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t sport, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t sport, util::Buffer) {
         mapped_port = sport;
       });
   auto client = inside->stack().udp_bind(5555);
   int inside_got = 0;
   client->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {
         ++inside_got;
       });
-  client->send_to(ip("8.0.0.10"), 7000, {1});
+  client->send_to(ip("8.0.0.10"), 7000, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(1));
   ASSERT_NE(mapped_port, 0);
 
   auto other_port = pub1->stack().udp_bind(7001);
-  other_port->send_to(ip("8.0.0.1"), mapped_port, {0x55});
+  other_port->send_to(ip("8.0.0.1"), mapped_port, util::Buffer::wrap({0x55}));
   net.loop().run_until(seconds(2));
 
   const bool should_pass = GetParam() == NatType::kFullCone ||
@@ -156,13 +156,13 @@ TEST_P(NatFixture, ConePreservesMappingAcrossDestinations) {
   std::uint16_t port_seen_by_1 = 0, port_seen_by_2 = 0;
   auto s1 = pub1->stack().udp_bind(7000);
   s1->set_receive_handler([&](Ipv4Address, std::uint16_t sport,
-                              std::vector<std::uint8_t>) { port_seen_by_1 = sport; });
+                              util::Buffer) { port_seen_by_1 = sport; });
   auto s2 = pub2->stack().udp_bind(7000);
   s2->set_receive_handler([&](Ipv4Address, std::uint16_t sport,
-                              std::vector<std::uint8_t>) { port_seen_by_2 = sport; });
+                              util::Buffer) { port_seen_by_2 = sport; });
   auto client = inside->stack().udp_bind(5555);
-  client->send_to(ip("8.0.0.10"), 7000, {1});
-  client->send_to(ip("8.0.0.20"), 7000, {1});
+  client->send_to(ip("8.0.0.10"), 7000, util::Buffer::wrap({1}));
+  client->send_to(ip("8.0.0.20"), 7000, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(2));
   ASSERT_NE(port_seen_by_1, 0);
   ASSERT_NE(port_seen_by_2, 0);
@@ -195,7 +195,7 @@ TEST_P(NatFixture, TcpThroughNatWorksOutbound) {
 TEST_P(NatFixture, UnsolicitedInboundToUnmappedPortBlocked) {
   auto probe = pub2->stack().udp_bind(9000);
   const auto blocked_before = nat->stats().blocked_in;
-  probe->send_to(ip("8.0.0.1"), 40000, {1});
+  probe->send_to(ip("8.0.0.1"), 40000, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(nat->stats().blocked_in, blocked_before + 1);
 }
@@ -245,11 +245,11 @@ TEST_F(NatLifetimeFixture, IdleMappingsExpireAndBlockInbound) {
   auto server = outside->stack().udp_bind(7000);
   std::uint16_t mapped_port = 0;
   server->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t sport, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t sport, util::Buffer) {
         mapped_port = sport;
       });
   auto client = inside->stack().udp_bind(5555);
-  client->send_to(ip("8.0.0.2"), 7000, {1});
+  client->send_to(ip("8.0.0.2"), 7000, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(1));
   ASSERT_NE(mapped_port, 0);
   EXPECT_EQ(nat->mapping_count(), 1u);
@@ -264,7 +264,7 @@ TEST_F(NatLifetimeFixture, IdleMappingsExpireAndBlockInbound) {
   // The reclaimed external port no longer routes inside.
   auto probe = outside->stack().udp_bind(9000);
   const auto blocked_before = nat->stats().blocked_in;
-  probe->send_to(ip("8.0.0.1"), mapped_port, {2});
+  probe->send_to(ip("8.0.0.1"), mapped_port, util::Buffer::wrap({2}));
   net.loop().run_until(seconds(12));
   EXPECT_EQ(nat->stats().blocked_in, blocked_before + 1);
 }
@@ -272,11 +272,11 @@ TEST_F(NatLifetimeFixture, IdleMappingsExpireAndBlockInbound) {
 TEST_F(NatLifetimeFixture, TrafficRefreshesMappings) {
   auto server = outside->stack().udp_bind(7000);
   server->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {});
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {});
   auto client = inside->stack().udp_bind(5555);
   // Send every 2 s for 20 s: always inside the 5 s idle timeout.
   for (int i = 0; i < 10; ++i) {
-    client->send_to(ip("8.0.0.2"), 7000, {1});
+    client->send_to(ip("8.0.0.2"), 7000, util::Buffer::wrap({1}));
     net.loop().run_until(net.loop().now() + seconds(2));
   }
   EXPECT_EQ(nat->mapping_count(), 1u);
@@ -294,14 +294,14 @@ TEST_F(NatLifetimeFixture, ExternalPortWrapReusesExpiredPortsCleanly) {
   auto server = outside->stack().udp_bind(7000);
   std::vector<std::uint16_t> seen_ports;
   server->set_receive_handler(
-      [&](Ipv4Address src, std::uint16_t sport, std::vector<std::uint8_t> d) {
+      [&](Ipv4Address src, std::uint16_t sport, util::Buffer d) {
         seen_ports.push_back(sport);
         server->send_to(src, sport, std::move(d));  // echo
       });
   auto a = inside->stack().udp_bind(5001);
   auto b = inside->stack().udp_bind(5002);
-  a->send_to(ip("8.0.0.2"), 7000, {1});
-  b->send_to(ip("8.0.0.2"), 7000, {1});
+  a->send_to(ip("8.0.0.2"), 7000, util::Buffer::wrap({1}));
+  b->send_to(ip("8.0.0.2"), 7000, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(1));
   ASSERT_EQ(seen_ports.size(), 2u);
   EXPECT_EQ(nat->stats().mappings_created, 2u);
@@ -309,7 +309,7 @@ TEST_F(NatLifetimeFixture, ExternalPortWrapReusesExpiredPortsCleanly) {
   // A third concurrent flow finds the port space exhausted and is
   // dropped, not silently aliased onto a live mapping.
   auto c = inside->stack().udp_bind(5003);
-  c->send_to(ip("8.0.0.2"), 7000, {1});
+  c->send_to(ip("8.0.0.2"), 7000, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(seen_ports.size(), 2u);
   EXPECT_GE(nat->stats().dropped_port_exhausted, 1u);
@@ -323,15 +323,15 @@ TEST_F(NatLifetimeFixture, ExternalPortWrapReusesExpiredPortsCleanly) {
   auto d = inside->stack().udp_bind(6001);
   auto e = inside->stack().udp_bind(6002);
   d->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {
         ++d_replies;
       });
   e->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {
         ++e_replies;
       });
-  d->send_to(ip("8.0.0.2"), 7000, {2});
-  e->send_to(ip("8.0.0.2"), 7000, {2});
+  d->send_to(ip("8.0.0.2"), 7000, util::Buffer::wrap({2}));
+  e->send_to(ip("8.0.0.2"), 7000, util::Buffer::wrap({2}));
   net.loop().run_until(seconds(12));
   ASSERT_EQ(seen_ports.size(), 2u);
   // Reused external ports from the reclaimed pair...
@@ -346,19 +346,36 @@ TEST_F(NatLifetimeFixture, ExternalPortWrapReusesExpiredPortsCleanly) {
 // In-place NAT rewrite (zero-copy, refcount-verified)
 // ---------------------------------------------------------------------------
 
-TEST(L4PatchTest, UdpRewritePatchesInPlaceAndFixesChecksum) {
-  const auto src = ip("10.0.0.2");
-  const auto dst = ip("8.0.0.10");
-  const auto ext = ip("8.0.0.1");
-  UdpDatagram d;
-  d.src_port = 5555;
-  d.dst_port = 7000;
-  d.payload = {1, 2, 3, 4, 5, 6, 7};
+// A UDP datagram laid out as UdpSocket lays it (header written in front
+// of the payload), optionally carrying a real pseudo-header checksum.
+Ipv4Packet make_udp_packet(Ipv4Address src, std::uint16_t sport,
+                           Ipv4Address dst, std::uint16_t dport,
+                           bool with_checksum,
+                           std::vector<std::uint8_t> payload = {}) {
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kUdp;
   pkt.hdr.src = src;
   pkt.hdr.dst = dst;
-  pkt.payload = util::Buffer::wrap(d.encode(src, dst));  // real checksum
+  const std::size_t len = payload.size();
+  pkt.payload = util::Buffer::wrap(std::move(payload));
+  UdpView::write_header(pkt.payload.grow_front(UdpView::kHeaderSize).data(),
+                        sport, dport, len);
+  if (with_checksum) {
+    const std::uint16_t csum =
+        transport_checksum(src, dst, IpProto::kUdp, pkt.payload);
+    // 0 would mean "no checksum" (RFC 768).
+    pkt.payload.patch_u16(UdpView::kChecksumOffset, csum == 0 ? 0xFFFF : csum);
+  }
+  return pkt;
+}
+
+TEST(L4PatchTest, UdpRewritePatchesInPlaceAndFixesChecksum) {
+  const auto src = ip("10.0.0.2");
+  const auto dst = ip("8.0.0.10");
+  const auto ext = ip("8.0.0.1");
+  Ipv4Packet pkt = make_udp_packet(src, 5555, dst, 7000,
+                                   /*with_checksum=*/true,
+                                   {1, 2, 3, 4, 5, 6, 7});
 
   const std::uint8_t* storage = pkt.payload.data();
   const std::size_t copied =
@@ -369,22 +386,17 @@ TEST(L4PatchTest, UdpRewritePatchesInPlaceAndFixesChecksum) {
   EXPECT_EQ(pkt.hdr.src, ext);
   // The incrementally updated checksum validates against the new
   // pseudo-header, and the ports/payload read back correctly.
-  auto g = UdpDatagram::decode(pkt.payload.view(), ext, dst);
+  EXPECT_EQ(transport_checksum(ext, dst, IpProto::kUdp, pkt.payload), 0);
+  auto g = UdpView::parse(pkt.payload.view());
   EXPECT_EQ(g.src_port, 62001);
   EXPECT_EQ(g.dst_port, 7000);
-  EXPECT_EQ(g.payload, d.payload);
+  EXPECT_EQ(g.payload.to_vector(),
+            (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(L4PatchTest, UdpZeroChecksumStaysZero) {
-  Ipv4Packet pkt;
-  pkt.hdr.proto = IpProto::kUdp;
-  pkt.hdr.src = ip("10.0.0.2");
-  pkt.hdr.dst = ip("8.0.0.10");
-  UdpDatagram d;
-  d.src_port = 5555;
-  d.dst_port = 7000;
-  d.payload = {9, 9};
-  pkt.payload = util::Buffer::wrap(d.encode());  // checksum 0 = none
+  Ipv4Packet pkt = make_udp_packet(ip("10.0.0.2"), 5555, ip("8.0.0.10"), 7000,
+                                   /*with_checksum=*/false, {9, 9});
   patch_l4_endpoints(pkt, L4Endpoint{ip("8.0.0.1"), 60000}, std::nullopt);
   auto v = UdpView::parse(pkt.payload.view());
   EXPECT_EQ(v.src_port, 60000);
@@ -401,20 +413,22 @@ TEST(L4PatchTest, TcpRewriteKeepsChecksumValid) {
   seg.seq = 1234;
   seg.flags.psh = true;
   seg.flags.ack = true;
-  seg.payload = {0xDE, 0xAD, 0xBE, 0xEF};
+  const util::BufferChain data(util::Buffer::wrap({0xDE, 0xAD, 0xBE, 0xEF}));
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kTcp;
   pkt.hdr.src = src;
   pkt.hdr.dst = dst;
-  pkt.payload = seg.encode_buffer(src, dst, 0);
+  pkt.payload = seg.encode_gather(src, dst, 0, data, 0, data.size());
 
   const std::uint8_t* storage = pkt.payload.data();
   EXPECT_EQ(patch_l4_endpoints(pkt, L4Endpoint{ext, 62002}, std::nullopt), 0u);
   EXPECT_EQ(pkt.payload.data(), storage);
-  // decode() re-validates the pseudo-header checksum end to end.
-  auto g = TcpSegment::decode(pkt.payload.view(), ext, dst);
+  // The pseudo-header checksum still validates end to end.
+  EXPECT_EQ(transport_checksum(ext, dst, IpProto::kTcp, pkt.payload), 0);
+  auto g = TcpView::parse(pkt.payload.view());
   EXPECT_EQ(g.src_port, 62002);
-  EXPECT_EQ(g.payload, seg.payload);
+  EXPECT_EQ(g.payload.to_vector(),
+            (std::vector<std::uint8_t>{0xDE, 0xAD, 0xBE, 0xEF}));
 }
 
 TEST(L4PatchTest, IcmpIdRewriteKeepsChecksumValid) {
@@ -427,11 +441,11 @@ TEST(L4PatchTest, IcmpIdRewriteKeepsChecksumValid) {
   pkt.hdr.proto = IpProto::kIcmp;
   pkt.hdr.src = ip("10.0.0.2");
   pkt.hdr.dst = ip("8.0.0.10");
-  pkt.payload = util::Buffer::wrap(m.encode());
+  pkt.payload = m.encode_buffer(0);
   EXPECT_EQ(
       patch_l4_endpoints(pkt, L4Endpoint{ip("8.0.0.1"), 4242}, std::nullopt),
       0u);
-  auto g = IcmpMessage::decode(pkt.payload.view());  // validates checksum
+  auto g = IcmpView::parse(pkt.payload.view());  // validates checksum
   EXPECT_EQ(g.id, 4242);
   EXPECT_EQ(g.seq, 3);
 }
@@ -439,15 +453,8 @@ TEST(L4PatchTest, IcmpIdRewriteKeepsChecksumValid) {
 TEST(L4PatchTest, SharedStorageTriggersCopyOnWrite) {
   // Like buffer_test's shared-prepend case: a rewrite on shared storage
   // must not corrupt the bytes another holder still reads.
-  UdpDatagram d;
-  d.src_port = 5555;
-  d.dst_port = 7000;
-  d.payload = {42, 43, 44};
-  Ipv4Packet pkt;
-  pkt.hdr.proto = IpProto::kUdp;
-  pkt.hdr.src = ip("10.0.0.2");
-  pkt.hdr.dst = ip("8.0.0.10");
-  pkt.payload = util::Buffer::wrap(d.encode());
+  Ipv4Packet pkt = make_udp_packet(ip("10.0.0.2"), 5555, ip("8.0.0.10"), 7000,
+                                   /*with_checksum=*/false, {42, 43, 44});
   util::Buffer other = pkt.payload.share();  // e.g. a flooded sibling
   ASSERT_EQ(pkt.payload.use_count(), 2);
 
@@ -513,23 +520,6 @@ Ipv4Packet make_icmp_error(const Ipv4Packet& original, IcmpType type,
   err.hdr.dst = original.hdr.src;
   err.payload = msg.encode_buffer(util::kPacketHeadroom);
   return err;
-}
-
-Ipv4Packet make_udp_packet(Ipv4Address src, std::uint16_t sport,
-                           Ipv4Address dst, std::uint16_t dport,
-                           bool with_checksum) {
-  UdpDatagram d;
-  d.src_port = sport;
-  d.dst_port = dport;
-  // Empty payload: the 8-byte UDP header is quoted in full, so the quoted
-  // transport checksum can be re-validated end to end after the patch.
-  Ipv4Packet pkt;
-  pkt.hdr.proto = IpProto::kUdp;
-  pkt.hdr.src = src;
-  pkt.hdr.dst = dst;
-  pkt.payload = util::Buffer::wrap(with_checksum ? d.encode(src, dst)
-                                                 : d.encode());
-  return pkt;
 }
 
 TEST(IcmpQuotePatchTest, RewritesQuoteInPlaceAndFixesAllChecksums) {
@@ -705,7 +695,7 @@ TEST_P(TracerouteFixture, EchoFlowErrorsAreTranslatedToo) {
   // orphan every echo-flow error.
   int errors = 0;
   inside->stack().set_icmp_error_handler(
-      [&](Ipv4Address, const IcmpMessage&) { ++errors; });
+      [&](Ipv4Address, const IcmpView&) { ++errors; });
   IcmpMessage echo;
   echo.type = IcmpType::kEchoRequest;
   echo.id = 321;
@@ -729,7 +719,7 @@ TEST_P(TracerouteFixture, RestoresDisplacedIcmpErrorHandler) {
   // otherwise go silent after the first trace.
   int app_errors = 0;
   inside->stack().set_icmp_error_handler(
-      [&](Ipv4Address, const IcmpMessage&) { ++app_errors; });
+      [&](Ipv4Address, const IcmpView&) { ++app_errors; });
   Traceroute tr(inside->stack());
   bool done = false;
   tr.run(ip("9.0.0.2"), {}, [&](TracerouteResult) { done = true; });
@@ -739,13 +729,8 @@ TEST_P(TracerouteFixture, RestoresDisplacedIcmpErrorHandler) {
 
   // A fresh unreachable (closed port beyond the NAT) lands in the
   // restored application handler.
-  UdpDatagram d;
-  d.src_port = 50000;
-  d.dst_port = 9998;
-  Ipv4Packet probe;
-  probe.hdr.proto = IpProto::kUdp;
-  probe.hdr.dst = ip("9.0.0.2");
-  probe.payload = util::Buffer::wrap(d.encode());
+  Ipv4Packet probe = make_udp_packet(Ipv4Address{}, 50000, ip("9.0.0.2"),
+                                     9998, /*with_checksum=*/false);
   inside->stack().send_ip(std::move(probe));
   net.loop().run_until(seconds(25));
   EXPECT_EQ(app_errors, 1);
@@ -884,9 +869,9 @@ TEST_F(NatTcpFixture, ForgedIcmpErrorQuotingUncontactedDestinationDropped) {
   // name a destination the mapping never contacted.
   auto server_sock = outside->stack().udp_bind(7000);
   server_sock->set_receive_handler(
-      [](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {});
+      [](Ipv4Address, std::uint16_t, util::Buffer) {});
   auto client = inside->stack().udp_bind(5555);
-  client->send_to(ip("8.0.0.2"), 7000, {1});
+  client->send_to(ip("8.0.0.2"), 7000, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(1));
   ASSERT_EQ(nat->mapping_count(), 1u);  // ext port 65535
 
@@ -907,7 +892,7 @@ TEST_F(NatTcpFixture, ZeroUdpChecksumSurvivesNatRewrite) {
   auto server_sock = outside->stack().udp_bind(7000);
   int received = 0;
   server_sock->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {
         ++received;
       });
   std::vector<std::uint16_t> seen_checksums;
@@ -919,7 +904,7 @@ TEST_F(NatTcpFixture, ZeroUdpChecksumSurvivesNatRewrite) {
         return true;
       });
   auto client = inside->stack().udp_bind(5555);
-  client->send_to(ip("8.0.0.2"), 7000, {1, 2, 3});
+  client->send_to(ip("8.0.0.2"), 7000, util::Buffer::wrap({1, 2, 3}));
   net.loop().run_until(seconds(2));
   ASSERT_EQ(received, 1);
   ASSERT_EQ(seen_checksums.size(), 1u);
@@ -961,14 +946,14 @@ struct FirewallFixture : ::testing::Test {
 TEST_F(FirewallFixture, OutboundAllowedRepliesTracked) {
   auto server = out_host->stack().udp_bind(5000);
   server->set_receive_handler(
-      [&](Ipv4Address src, std::uint16_t sport, std::vector<std::uint8_t> d) {
+      [&](Ipv4Address src, std::uint16_t sport, util::Buffer d) {
         server->send_to(src, sport, std::move(d));
       });
   auto client = in_host->stack().udp_bind(0);
   int got = 0;
   client->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) { ++got; });
-  client->send_to(ip("8.1.0.2"), 5000, {1});
+      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++got; });
+  client->send_to(ip("8.1.0.2"), 5000, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(got, 1);
   EXPECT_GE(fw->stats().allowed_in_established, 1u);
@@ -978,9 +963,9 @@ TEST_F(FirewallFixture, UnsolicitedInboundBlocked) {
   auto server = in_host->stack().udp_bind(5000);
   int got = 0;
   server->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) { ++got; });
+      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++got; });
   auto probe = out_host->stack().udp_bind(0);
-  probe->send_to(ip("192.168.0.2"), 5000, {1});
+  probe->send_to(ip("192.168.0.2"), 5000, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(got, 0);
   EXPECT_GE(fw->stats().blocked_in, 1u);
@@ -1017,12 +1002,12 @@ TEST_F(FirewallFixture, OutboundDefaultDenyWithAllowList) {
   auto s6000 = out_host->stack().udp_bind(6000);
   int got5000 = 0, got6000 = 0;
   s5000->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) { ++got5000; });
+      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++got5000; });
   s6000->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) { ++got6000; });
+      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++got6000; });
   auto client = in_host->stack().udp_bind(0);
-  client->send_to(ip("8.1.0.2"), 5000, {1});
-  client->send_to(ip("8.1.0.2"), 6000, {1});
+  client->send_to(ip("8.1.0.2"), 5000, util::Buffer::wrap({1}));
+  client->send_to(ip("8.1.0.2"), 6000, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(got5000, 1);
   EXPECT_EQ(got6000, 0);
@@ -1065,9 +1050,9 @@ TEST_F(FirewallConntrackFixture, IdleEntriesExpireAndTableStaysBounded) {
   // forever.
   auto server = out_host->stack().udp_bind(5000);
   server->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {});
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {});
   auto client = in_host->stack().udp_bind(6000);
-  client->send_to(ip("8.1.0.2"), 5000, {1});
+  client->send_to(ip("8.1.0.2"), 5000, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(1));
   EXPECT_EQ(fw->conntrack_count(), 1u);
 
@@ -1079,7 +1064,7 @@ TEST_F(FirewallConntrackFixture, IdleEntriesExpireAndTableStaysBounded) {
 
   // A late "reply" no longer matches established state.
   const auto blocked_before = fw->stats().blocked_in;
-  server->send_to(ip("192.168.0.2"), 6000, {2});
+  server->send_to(ip("192.168.0.2"), 6000, util::Buffer::wrap({2}));
   net.loop().run_until(seconds(12));
   EXPECT_EQ(fw->stats().blocked_in, blocked_before + 1);
 }
@@ -1172,7 +1157,7 @@ TEST_F(FirewallConntrackFixture, RelatedIcmpErrorAdmittedForTrackedFlow) {
   // port-unreachable is inbound at the firewall and carries no tracked
   // 5-tuple of its own — it must pass on the strength of its quote.
   auto client = in_host->stack().udp_bind(6000);
-  client->send_to(ip("8.1.0.2"), 9999, {1});
+  client->send_to(ip("8.1.0.2"), 9999, util::Buffer::wrap({1}));
   net.loop().run_until(seconds(2));
   EXPECT_GE(fw->stats().allowed_related, 1u);
   EXPECT_EQ(in_host->stack().counters().icmp_errors_delivered, 1u);

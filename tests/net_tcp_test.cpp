@@ -225,6 +225,42 @@ TEST_F(TcpFixture, ConnectToClosedPortIsRefused) {
   EXPECT_EQ(reason, "connection refused");
 }
 
+TEST_F(TcpFixture, CorruptSegmentIsCountedAsParseDropAndIgnored) {
+  wire(lan());
+  auto listener = b->stack().tcp_listen(80);
+  bool accepted = false;
+  listener->set_accept_handler(
+      [&](std::shared_ptr<TcpSocket>) { accepted = true; });
+  TcpSegment syn;
+  syn.src_port = 40000;
+  syn.dst_port = 80;
+  syn.seq = 1;
+  syn.flags.syn = true;
+  // A bare SYN from a to b, checksummed over `csum_src`'s pseudo-header.
+  auto send_syn = [&](Ipv4Address csum_src) {
+    Ipv4Packet pkt;
+    pkt.hdr.proto = IpProto::kTcp;
+    pkt.hdr.src = ip("10.0.0.1");
+    pkt.hdr.dst = ip("10.0.0.2");
+    pkt.payload =
+        syn.encode_buffer(csum_src, pkt.hdr.dst, util::kPacketHeadroom);
+    a->stack().send_ip(std::move(pkt));
+  };
+  const auto& bc = b->stack().counters();
+  send_syn(ip("9.9.9.9"));
+  net.loop().run_until(seconds(1));
+  EXPECT_EQ(bc.dropped_parse, 1u);
+  EXPECT_EQ(bc.ip_tx, 0u);  // neither a SYN-ACK nor a RST
+  // The same SYN with a valid checksum reaches the listener, which
+  // answers; a has no socket for the SYN-ACK and resets it.
+  send_syn(ip("10.0.0.1"));
+  net.loop().run_until(seconds(2));
+  EXPECT_EQ(bc.dropped_parse, 1u);
+  EXPECT_EQ(bc.ip_tx, 1u);                          // SYN-ACK
+  EXPECT_EQ(a->stack().counters().ip_tx, 3u);       // two SYNs + RST
+  EXPECT_FALSE(accepted);
+}
+
 TEST_F(TcpFixture, ConnectTimesOutWhenPeerSilent) {
   auto cfg = lan();
   wire(cfg);
@@ -365,7 +401,7 @@ TEST_F(TcpFixture, CongestionWindowGrowsFromSlowStart) {
 
 // --- scatter-gather send path ----------------------------------------------
 
-TEST(TcpWireTest, GatherEncodeMatchesCopyingEncode) {
+TEST(TcpWireTest, GatherEncodeIsIndependentOfSegmentation) {
   const auto src = ip("10.0.0.1");
   const auto dst = ip("10.0.0.2");
   std::vector<std::uint8_t> payload(700);
@@ -379,28 +415,27 @@ TEST(TcpWireTest, GatherEncodeMatchesCopyingEncode) {
   seg.flags.ack = true;
   seg.flags.psh = true;
   seg.window = 4096;
-  seg.payload = payload;
-  const auto copied = seg.encode_buffer(src, dst, 0);
+  const util::BufferChain contiguous(util::Buffer::copy_of(payload));
+  const auto whole = seg.encode_gather(src, dst, 0, contiguous, 0, 700);
 
   // Same header fields, payload scattered across three queue segments.
   util::BufferChain queue;
   queue.append(util::Buffer::copy_of({payload.data(), 100}));
   queue.append(util::Buffer::copy_of({payload.data() + 100, 500}));
   queue.append(util::Buffer::copy_of({payload.data() + 600, 100}));
-  TcpSegment hdr = seg;
-  hdr.payload.clear();
-  const auto gathered = hdr.encode_gather(src, dst, 0, queue, 0, 700);
+  const auto gathered = seg.encode_gather(src, dst, 0, queue, 0, 700);
 
-  EXPECT_EQ(gathered.view(), copied.view());
-  // The gathered image decodes (checksum covers the gathered bytes).
-  const auto decoded = TcpSegment::decode(gathered.as_span(), src, dst);
-  EXPECT_EQ(decoded.payload, payload);
+  EXPECT_EQ(gathered.view(), whole.view());
+  // The gathered image verifies (checksum covers the gathered bytes).
+  EXPECT_EQ(transport_checksum(src, dst, IpProto::kTcp, gathered), 0);
+  EXPECT_EQ(TcpView::parse(gathered.view()).payload.to_vector(), payload);
 
   // A mid-queue range gathers the right window of bytes.
-  const auto slice = hdr.encode_gather(src, dst, 0, queue, 250, 200);
-  const auto sliced = TcpSegment::decode(slice.as_span(), src, dst);
-  EXPECT_EQ(sliced.payload, std::vector<std::uint8_t>(payload.begin() + 250,
-                                                      payload.begin() + 450));
+  const auto slice = seg.encode_gather(src, dst, 0, queue, 250, 200);
+  EXPECT_EQ(transport_checksum(src, dst, IpProto::kTcp, slice), 0);
+  EXPECT_EQ(TcpView::parse(slice.view()).payload.to_vector(),
+            std::vector<std::uint8_t>(payload.begin() + 250,
+                                      payload.begin() + 450));
 }
 
 TEST_F(TcpFixture, BufferSendIsZeroCopyAndArrivesIntact) {

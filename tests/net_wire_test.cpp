@@ -1,4 +1,6 @@
-// Unit tests for the wire-format codecs: Ethernet, ARP, IPv4, ICMP, UDP, TCP.
+// Unit tests for the wire formats: Ethernet, ARP, IPv4, ICMP, UDP, TCP.
+// Each header has one writer (a prepend into headroom or a pre-sized
+// slot) and one view parser; these tests round-trip the two.
 #include <gtest/gtest.h>
 
 #include "net/arp.hpp"
@@ -25,23 +27,32 @@ TEST(MacTest, FromIndexUnique) {
 }
 
 TEST(EthernetTest, RoundTrip) {
-  EthernetFrame f;
-  f.dst = MacAddress::from_index(1);
-  f.src = MacAddress::from_index(2);
-  f.type = EtherType::kArp;
-  f.payload = {1, 2, 3, 4};
-  auto bytes = f.encode();
-  EXPECT_EQ(bytes.size(), EthernetFrame::kHeaderSize + 4);
-  auto g = EthernetFrame::decode(bytes);
-  EXPECT_EQ(g.dst, f.dst);
-  EXPECT_EQ(g.src, f.src);
+  const auto dst = MacAddress::from_index(1);
+  const auto src = MacAddress::from_index(2);
+  auto frame =
+      frame_onto(util::Buffer::wrap({1, 2, 3, 4}), dst, src, EtherType::kArp);
+  EXPECT_EQ(frame.size(), EthernetView::kHeaderSize + 4);
+  auto g = EthernetView::parse(frame.view());
+  EXPECT_EQ(g.dst, dst);
+  EXPECT_EQ(g.src, src);
   EXPECT_EQ(g.type, EtherType::kArp);
-  EXPECT_EQ(g.payload, f.payload);
+  EXPECT_EQ(g.payload.to_vector(), (std::vector<std::uint8_t>{1, 2, 3, 4}));
+}
+
+TEST(EthernetTest, FrameOntoPrependsIntoHeadroom) {
+  auto payload = util::Buffer::allocate(4, EthernetView::kHeaderSize);
+  const std::uint8_t* first = payload.data();
+  auto frame = frame_onto(std::move(payload), MacAddress::broadcast(),
+                          MacAddress::from_index(2), EtherType::kIpv4);
+  // The header landed in front of the payload's own storage.
+  EXPECT_EQ(frame.data() + EthernetView::kHeaderSize, first);
+  EXPECT_EQ(frame.headroom(), 0u);
+  EXPECT_TRUE(EthernetView::parse(frame.view()).dst.is_broadcast());
 }
 
 TEST(EthernetTest, TruncatedThrows) {
   std::vector<std::uint8_t> short_frame(10, 0);
-  EXPECT_THROW(EthernetFrame::decode(short_frame), util::ParseError);
+  EXPECT_THROW(EthernetView::parse(short_frame), util::ParseError);
 }
 
 TEST(Ipv4AddressTest, ParseFormat) {
@@ -94,22 +105,40 @@ TEST(Ipv4PacketTest, RoundTrip) {
   p.hdr.proto = IpProto::kUdp;
   p.hdr.ttl = 31;
   p.payload = util::Buffer::wrap({9, 9, 9});
-  auto bytes = p.encode();
-  auto q = Ipv4Packet::decode(util::BufferView(bytes));
+  auto q = Ipv4Packet::decode(p.take_wire());
   EXPECT_EQ(q.hdr.src, p.hdr.src);
   EXPECT_EQ(q.hdr.dst, p.hdr.dst);
   EXPECT_EQ(q.hdr.proto, IpProto::kUdp);
   EXPECT_EQ(q.hdr.ttl, 31);
-  EXPECT_EQ(q.payload.view(), p.payload.view());
+  EXPECT_EQ(q.payload.to_vector(), (std::vector<std::uint8_t>{9, 9, 9}));
+}
+
+TEST(Ipv4PacketTest, ViewAndDecodeAgreeAndTrimPadding) {
+  Ipv4Packet p;
+  p.hdr.src = Ipv4Address::parse("10.0.0.1");
+  p.hdr.dst = Ipv4Address::parse("10.0.0.2");
+  p.payload = util::Buffer::allocate(6, util::kPacketHeadroom);
+  const auto wire = p.take_wire();
+  // Link padding past the total-length field is not payload.
+  std::vector<std::uint8_t> padded(wire.begin(), wire.end());
+  padded.resize(padded.size() + 4, 0);
+  const auto view = Ipv4View::parse(padded);
+  EXPECT_EQ(view.payload.size(), 6u);
+  // decode() adopts the storage: the header becomes headroom.
+  const auto q = Ipv4Packet::decode(util::Buffer::wrap(padded));
+  EXPECT_EQ(q.hdr.dst, view.hdr.dst);
+  EXPECT_EQ(q.payload.size(), 6u);
+  EXPECT_EQ(q.payload.headroom(), Ipv4Header::kSize);
 }
 
 TEST(Ipv4PacketTest, CorruptedHeaderChecksumRejected) {
   Ipv4Packet p;
   p.hdr.src = Ipv4Address::parse("10.0.0.1");
   p.hdr.dst = Ipv4Address::parse("10.0.0.2");
-  auto bytes = p.encode();
-  bytes[8] ^= 0xFF;  // flip the TTL
-  EXPECT_THROW(Ipv4Packet::decode(util::BufferView(bytes)), util::ParseError);
+  auto wire = p.take_wire();
+  wire[8] ^= 0xFF;  // flip the TTL
+  EXPECT_THROW(Ipv4View::parse(wire.view()), util::ParseError);
+  EXPECT_THROW(Ipv4Packet::decode(std::move(wire)), util::ParseError);
 }
 
 TEST(Ipv4PacketTest, BadLengthRejected) {
@@ -117,9 +146,9 @@ TEST(Ipv4PacketTest, BadLengthRejected) {
   p.hdr.src = Ipv4Address::parse("10.0.0.1");
   p.hdr.dst = Ipv4Address::parse("10.0.0.2");
   p.payload = util::Buffer::wrap({1, 2, 3, 4});
-  auto bytes = p.encode();
-  bytes.resize(22);  // truncate below total_length
-  EXPECT_THROW(Ipv4Packet::decode(util::BufferView(bytes)), util::ParseError);
+  auto wire = p.take_wire();
+  wire.drop_back(wire.size() - 22);  // truncate below total_length
+  EXPECT_THROW(Ipv4Packet::decode(std::move(wire)), util::ParseError);
 }
 
 TEST(ArpTest, RoundTrip) {
@@ -143,81 +172,51 @@ TEST(IcmpTest, EchoRoundTrip) {
   m.id = 0x1234;
   m.seq = 7;
   m.payload = {0xDE, 0xAD};
-  auto bytes = m.encode();
-  auto g = IcmpMessage::decode(bytes);
+  auto wire = m.encode_buffer(util::kPacketHeadroom);
+  EXPECT_EQ(wire.headroom(), util::kPacketHeadroom);
+  auto g = IcmpView::parse(wire.view());
   EXPECT_EQ(g.type, IcmpType::kEchoRequest);
   EXPECT_EQ(g.id, 0x1234);
   EXPECT_EQ(g.seq, 7);
-  EXPECT_EQ(g.payload, m.payload);
+  EXPECT_EQ(g.payload.to_vector(), m.payload);
   EXPECT_TRUE(g.is_echo());
 }
 
 TEST(IcmpTest, ChecksumValidated) {
   IcmpMessage m;
   m.type = IcmpType::kEchoReply;
-  auto bytes = m.encode();
-  bytes[4] ^= 0x01;
-  EXPECT_THROW(IcmpMessage::decode(bytes), util::ParseError);
+  auto wire = m.encode_buffer(0);
+  wire[4] ^= 0x01;
+  EXPECT_THROW(IcmpView::parse(wire.view()), util::ParseError);
+  // Middleboxes read transit headers without owning the checksum.
+  EXPECT_EQ(IcmpView::parse_headers(wire.view()).type, IcmpType::kEchoReply);
 }
 
 TEST(UdpTest, RoundTrip) {
-  UdpDatagram d;
-  d.src_port = 1111;
-  d.dst_port = 53;
-  d.payload = {5, 6, 7, 8, 9};
-  auto bytes = d.encode();
-  auto g = UdpDatagram::decode(bytes, Ipv4Address::parse("10.0.0.1"),
-                               Ipv4Address::parse("10.0.0.2"));
+  std::vector<std::uint8_t> bytes{0, 0, 0, 0, 0, 0, 0, 0, 5, 6, 7, 8, 9};
+  UdpView::write_header(bytes.data(), 1111, 53, 5);
+  auto g = UdpView::parse(bytes);
   EXPECT_EQ(g.src_port, 1111);
   EXPECT_EQ(g.dst_port, 53);
-  EXPECT_EQ(g.payload, d.payload);
+  EXPECT_EQ(g.length, UdpView::kHeaderSize + 5);
+  EXPECT_EQ(g.checksum, 0);  // "not computed" (RFC 768)
+  EXPECT_EQ(g.payload.to_vector(), (std::vector<std::uint8_t>{5, 6, 7, 8, 9}));
+}
+
+TEST(UdpTest, PayloadTrimmedToLengthField) {
+  std::vector<std::uint8_t> bytes(UdpView::kHeaderSize + 6, 0xEE);
+  UdpView::write_header(bytes.data(), 1, 2, 2);  // 4 bytes of padding
+  EXPECT_EQ(UdpView::parse(bytes).payload.size(), 2u);
 }
 
 TEST(UdpTest, BadLengthRejected) {
-  UdpDatagram d;
-  d.payload = {1, 2, 3};
-  auto bytes = d.encode();
+  std::vector<std::uint8_t> bytes(UdpView::kHeaderSize + 3, 0);
+  UdpView::write_header(bytes.data(), 1, 2, 3);
   bytes[4] = 0;
   bytes[5] = 2;  // length < header size
-  EXPECT_THROW(UdpDatagram::decode(bytes, Ipv4Address{}, Ipv4Address{}),
-               util::ParseError);
-}
-
-TEST(UdpTest, NonzeroChecksumValidated) {
-  const auto src = Ipv4Address::parse("10.0.0.1");
-  const auto dst = Ipv4Address::parse("10.0.0.2");
-  UdpDatagram d;
-  d.src_port = 1111;
-  d.dst_port = 53;
-  d.payload = {5, 6, 7};
-  auto bytes = d.encode(src, dst);  // real pseudo-header checksum
-  EXPECT_NE(bytes[6] | bytes[7], 0);
-  auto g = UdpDatagram::decode(bytes, src, dst);
-  EXPECT_EQ(g.payload, d.payload);
-  // A flipped payload bit no longer matches the checksum...
-  bytes[10] ^= 0x01;
-  EXPECT_THROW(UdpDatagram::decode(bytes, src, dst), util::ParseError);
-  bytes[10] ^= 0x01;
-  // ...and so does a wrong pseudo-header (different source address).
-  EXPECT_THROW(
-      UdpDatagram::decode(bytes, Ipv4Address::parse("9.9.9.9"), dst),
-      util::ParseError);
-}
-
-TEST(UdpTest, ZeroChecksumMeansNotComputed) {
-  // RFC 768: checksum 0 = "no checksum"; corrupt-looking payloads must
-  // still decode when the sender opted out.
-  const auto src = Ipv4Address::parse("10.0.0.1");
-  const auto dst = Ipv4Address::parse("10.0.0.2");
-  UdpDatagram d;
-  d.src_port = 1;
-  d.dst_port = 2;
-  d.payload = {0xFF, 0x00, 0xFF};
-  auto bytes = d.encode();
-  EXPECT_EQ(bytes[6], 0);
-  EXPECT_EQ(bytes[7], 0);
-  auto g = UdpDatagram::decode(bytes, src, dst);
-  EXPECT_EQ(g.payload, d.payload);
+  EXPECT_THROW(UdpView::parse(bytes), util::ParseError);
+  bytes[5] = 12;  // length > bytes on the wire
+  EXPECT_THROW(UdpView::parse(bytes), util::ParseError);
 }
 
 TEST(ChecksumTest, IncrementalUpdateMatchesRecompute) {
@@ -246,9 +245,11 @@ TEST(TcpWireTest, RoundTripWithChecksum) {
   s.flags.syn = true;
   s.flags.ack = true;
   s.window = 8192;
-  s.payload = {1, 2, 3};
-  auto bytes = s.encode(src, dst);
-  auto g = TcpSegment::decode(bytes, src, dst);
+  const util::BufferChain queue(util::Buffer::wrap({0, 1, 2, 3, 4}));
+  auto wire = s.encode_gather(src, dst, util::kPacketHeadroom, queue, 1, 3);
+  EXPECT_EQ(wire.size(), TcpSegment::kHeaderSize + 3);
+  EXPECT_EQ(transport_checksum(src, dst, IpProto::kTcp, wire), 0);
+  auto g = TcpView::parse(wire.view());
   EXPECT_EQ(g.src_port, 4000);
   EXPECT_EQ(g.dst_port, 80);
   EXPECT_EQ(g.seq, 0xAABBCCDDu);
@@ -257,18 +258,31 @@ TEST(TcpWireTest, RoundTripWithChecksum) {
   EXPECT_TRUE(g.flags.ack);
   EXPECT_FALSE(g.flags.fin);
   EXPECT_EQ(g.window, 8192);
-  EXPECT_EQ(g.payload, s.payload);
+  EXPECT_EQ(g.payload.to_vector(), (std::vector<std::uint8_t>{1, 2, 3}));
+}
+
+TEST(TcpWireTest, ControlSegmentIsBareHeader) {
+  const auto src = Ipv4Address::parse("1.2.3.4");
+  const auto dst = Ipv4Address::parse("5.6.7.8");
+  TcpSegment s;
+  s.flags.rst = true;
+  auto wire = s.encode_buffer(src, dst, util::kPacketHeadroom);
+  EXPECT_EQ(wire.size(), TcpSegment::kHeaderSize);
+  EXPECT_EQ(wire.headroom(), util::kPacketHeadroom);
+  EXPECT_EQ(transport_checksum(src, dst, IpProto::kTcp, wire), 0);
+  EXPECT_TRUE(TcpView::parse(wire.view()).flags.rst);
+  EXPECT_TRUE(TcpView::parse(wire.view()).payload.empty());
 }
 
 TEST(TcpWireTest, ChecksumCoversPseudoHeader) {
   const auto src = Ipv4Address::parse("1.2.3.4");
   const auto dst = Ipv4Address::parse("5.6.7.8");
   TcpSegment s;
-  auto bytes = s.encode(src, dst);
-  // Decoding with different addresses must fail the pseudo-header checksum.
-  EXPECT_THROW(
-      TcpSegment::decode(bytes, Ipv4Address::parse("9.9.9.9"), dst),
-      util::ParseError);
+  auto wire = s.encode_buffer(src, dst, 0);
+  // Verifying with different addresses must fail the pseudo-header sum.
+  EXPECT_NE(transport_checksum(Ipv4Address::parse("9.9.9.9"), dst,
+                               IpProto::kTcp, wire),
+            0);
 }
 
 TEST(TcpWireTest, FlagsEncodeDecode) {

@@ -44,4 +44,10 @@ inline void allowlisted(Packet& pkt) {
   pkt.payload = pkt.payload.clone();  // lint:allow(zero-copy): explicit COW before an in-place patch
 }
 
+inline std::vector<unsigned char> legacy_codec(const Packet& pkt) {
+  // A pragma that keeps a copy alive only for tests is itself a finding:
+  // the tests should drive the production path instead.
+  return pkt.payload.to_vector();  // lint:allow(zero-copy): legacy codec kept for tests  expect(zero-copy)
+}
+
 }  // namespace fixture

@@ -11,7 +11,10 @@ Three rule families, each protecting a property the compiler cannot see
                   memcpy/std::copy statements that touch packet payloads.
                   The bench gate proves the property at runtime for the
                   paths it samples; this rule proves it at the source
-                  level for every path.
+                  level for every path.  An allow pragma in src/ whose
+                  reason says the copy is kept for tests is itself a
+                  finding: tests exercise the production path, so
+                  test-only codecs do not grow back beside it.
 
   determinism     The simulation must stay bit-for-bit reproducible.
                   Bans wall-clock sources (std::chrono::system_clock,
@@ -158,6 +161,9 @@ ALLOW_PRAGMA_RE = re.compile(
     r"lint:allow\(\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)\s*\)\s*:\s*(\S.*)"
 )
 ALLOW_NO_REASON_RE = re.compile(r"lint:allow\(\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)\s*\)")
+# A pragma reason that justifies code by its tests ("kept for tests",
+# "test-only", "for testing").
+TEST_ONLY_REASON_RE = re.compile(r"\btest(?:s|ing|-only)?\b", re.I)
 FIXTURE_PATH_RE = re.compile(r"lint-fixture-path:\s*(\S+)")
 EXPECT_RE = re.compile(r"expect\(([a-z-]+)\)")
 
@@ -278,6 +284,12 @@ def parse_allow_pragmas(sf: SourceFile, findings: list):
                 sf.path, ln, "lint-pragma",
                 f"unknown rule(s) in lint:allow: {', '.join(sorted(unknown))}"))
             rules -= unknown
+        if "zero-copy" in rules and sf.path.startswith("src/") and \
+                TEST_ONLY_REASON_RE.search(m.group(2)):
+            findings.append(Finding(
+                sf.path, ln, "zero-copy",
+                "allow pragma keeps a copy for tests — port the tests to "
+                "the production path and delete the test-only code"))
         target = ln
         if ln - 1 < len(blanked_lines) and not blanked_lines[ln - 1].strip():
             # Comment-only line: cover the next line holding code.
@@ -665,9 +677,11 @@ def discover_files(build_dir: str, paths):
 
 
 def lint_sources(sources, engine, cindex=None, cc_map=None):
-    findings: list[Finding] = []
+    # Findings about the pragmas themselves cannot be allowlisted.
+    pragma_findings: list[Finding] = []
     for sf in sources:
-        parse_allow_pragmas(sf, findings)
+        parse_allow_pragmas(sf, pragma_findings)
+    findings: list[Finding] = []
     unordered_names = collect_unordered_names(sources)
 
     for sf in sources:
@@ -687,10 +701,9 @@ def lint_sources(sources, engine, cindex=None, cc_map=None):
         check_timer_lifetime(sf, findings)
         check_shard_affinity(sf, findings)
 
-    kept = []
+    kept = list(pragma_findings)
     for f in findings:
-        allowed = f.rule in sf_allow(sources, f.path).get(f.line, set())
-        if f.rule == "lint-pragma" or not allowed:
+        if f.rule not in sf_allow(sources, f.path).get(f.line, set()):
             kept.append(f)
     kept.sort(key=lambda f: (f.path, f.line, f.rule))
     return kept
