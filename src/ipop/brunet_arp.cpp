@@ -120,6 +120,11 @@ void BrunetArp::resolve(net::Ipv4Address vip, ResolveCallback cb) {
     return;
   }
   auto [it, fresh] = in_flight_.try_emplace(vip);
+  if (!fresh && it->second.size() >= cfg_.pending_queue_limit) {
+    ++stats_.queue_overflows;
+    cb(std::nullopt);
+    return;
+  }
   it->second.push_back(std::move(cb));
   if (!fresh) return;  // lookup already running; coalesce
 

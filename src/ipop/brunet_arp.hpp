@@ -32,7 +32,8 @@ struct BrunetArpConfig {
   /// unresolvable until the next reregister_interval.
   util::Duration register_retry = util::seconds(2);
   int register_retries = 3;
-  /// Packets queued per destination while a lookup is in flight.
+  /// Resolves (each holding its captured packet) that may wait on one
+  /// destination's in-flight lookup; past it a resolve fails at once.
   std::size_t pending_queue_limit = 64;
 };
 
@@ -46,6 +47,9 @@ struct BrunetArpStats {
   /// the connection-lost observer fires before the TTL would age them
   /// out, so traffic re-resolves instead of black-holing).
   std::uint64_t invalidations = 0;
+  /// Resolves failed at once because pending_queue_limit resolves were
+  /// already waiting on the same lookup.
+  std::uint64_t queue_overflows = 0;
 };
 
 /// A resolved IP -> node binding.  Records written by identity-bearing

@@ -16,8 +16,7 @@ void ShortcutManager::evict(util::TimePoint now) {
   while (!lru_.empty()) {
     auto it = counters_.find(lru_.front());
     const Counter& c = it->second;
-    if (now - c.window_start > cfg_.window &&
-        now - c.last_request > cfg_.retry_backoff) {
+    if (now - c.window_start > cfg_.window && !backing_off(c, now)) {
       erase(it);
       removed = true;
     } else {
@@ -59,7 +58,7 @@ void ShortcutManager::note_packet(const brunet::Address& dst) {
     c.count = 0;
   }
   if (++c.count < cfg_.threshold) return;
-  if (now - c.last_request < cfg_.retry_backoff) return;
+  if (backing_off(c, now)) return;
   c.last_request = now;
   c.count = 0;
   ++stats_.requests;

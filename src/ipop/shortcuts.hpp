@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <optional>
 
 #include "brunet/node.hpp"
 
@@ -55,7 +56,9 @@ class ShortcutManager {
   struct Counter {
     std::uint32_t count = 0;
     util::TimePoint window_start{};
-    util::TimePoint last_request{};
+    /// Empty until the first request: the back-off only follows a
+    /// request, so a destination is eligible from t = 0.
+    std::optional<util::TimePoint> last_request;
     /// Position in lru_ (front = least recently touched).
     std::list<brunet::Address>::iterator lru_pos;
   };
@@ -63,6 +66,10 @@ class ShortcutManager {
   /// O(1): pop expired counters off the LRU front; if none were expired
   /// and the map is full, pop the least-recently-used counter.
   void evict(util::TimePoint now);
+  /// True while `c`'s last request is within retry_backoff of `now`.
+  bool backing_off(const Counter& c, util::TimePoint now) const {
+    return c.last_request && now - *c.last_request < cfg_.retry_backoff;
+  }
   void erase(std::map<brunet::Address, Counter>::iterator it);
 
   brunet::BrunetNode& node_;

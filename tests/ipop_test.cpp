@@ -400,6 +400,31 @@ TEST_F(IpopLanFixture, StopFailsInFlightLookupsSoRestartedNodeResolves) {
   EXPECT_EQ(resolve_from(1, vip(2)), nodes[2]->overlay().address());
 }
 
+TEST_F(IpopLanFixture, ResolvesBeyondPendingLimitFailAtOnce) {
+  BrunetArpConfig acfg;
+  acfg.pending_queue_limit = 64;
+  build(3, /*brunet_arp=*/true, {}, acfg);
+  ASSERT_TRUE(converge());
+  auto* arp = nodes[0]->brunet_arp();
+  // Nobody registered this address: its lookup keeps the DHT busy while
+  // a burst of 100 packets for it asks to wait.
+  const auto unregistered = ip("172.16.9.9");
+  int failed_at_once = 0;
+  int answered_later = 0;
+  bool in_burst = true;
+  for (int i = 0; i < 100; ++i) {
+    arp->resolve(unregistered, [&](std::optional<ArpBinding> b) {
+      EXPECT_FALSE(b.has_value());
+      ++(in_burst ? failed_at_once : answered_later);
+    });
+  }
+  in_burst = false;
+  EXPECT_EQ(failed_at_once, 100 - 64);
+  EXPECT_EQ(arp->stats().queue_overflows, 36u);
+  net.loop().run_until(net.loop().now() + seconds(30));
+  EXPECT_EQ(answered_later, 64);  // the waiters see the miss
+}
+
 TEST_F(IpopLanFixture, ShortcutTriggersDirectConnection) {
   ShortcutConfig scfg;
   scfg.enabled = true;
@@ -420,6 +445,26 @@ TEST_F(IpopLanFixture, ShortcutTriggersDirectConnection) {
   const auto& stats = nodes[0]->shortcuts().stats();
   // Fully-meshed small overlay: packets already ride a direct edge.
   EXPECT_GT(stats.already_direct + stats.requests, 0u);
+}
+
+TEST(ShortcutBackoffTest, FirstRequestIsNotDelayedByBackoff) {
+  // The back-off spaces out *repeat* requests; a destination that
+  // crosses the threshold before t = retry_backoff is requested at once.
+  net::Network net{98};
+  auto& h = net.add_host("h");
+  brunet::BrunetNode node(h, brunet::Address::hash("first"), {});
+  ShortcutConfig scfg;
+  scfg.enabled = true;
+  scfg.threshold = 4;
+  scfg.retry_backoff = seconds(30);
+  ShortcutManager mgr(node, scfg);
+  const auto dst = brunet::Address::hash("busy-peer");
+  net.loop().run_until(seconds(1));
+  for (std::uint32_t i = 0; i < scfg.threshold; ++i) mgr.note_packet(dst);
+  EXPECT_EQ(mgr.stats().requests, 1u);
+  // A second burst inside the back-off is suppressed.
+  for (std::uint32_t i = 0; i < scfg.threshold; ++i) mgr.note_packet(dst);
+  EXPECT_EQ(mgr.stats().requests, 1u);
 }
 
 TEST(ShortcutEvictionTest, CounterMapStaysBounded) {
