@@ -1,14 +1,20 @@
 // Microbenchmarks (google-benchmark): the hot paths of the IPOP data
 // plane — SHA-1 address mapping, packet codecs, per-hop forwarding,
-// ring-distance arithmetic, greedy next-hop selection, and checksum
-// computation.
+// ring-distance arithmetic, greedy next-hop selection, event scheduling
+// and checksum computation.
+//
+// A counting global operator new reports heap allocations per operation
+// (heap_allocs_per_* counters) for the per-packet paths.
 //
 // Results are also written to BENCH_micro_core.json (google-benchmark's
 // JSON format) unless the caller passes its own --benchmark_out flags.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -21,11 +27,37 @@
 #include "net/tcp_wire.hpp"
 #include "net/topology.hpp"
 #include "net/udp.hpp"
+#include "sim/event_loop.hpp"
 #include "util/buffer.hpp"
+#include "util/lifetime.hpp"
 #include "util/random.hpp"
 #include "util/sha1.hpp"
 
+// --- heap-allocation accounting ---------------------------------------------
+// Every operator new in the process bumps g_heap_allocs; a benchmark reads
+// the delta across its timed loop.  (The array and nothrow forms forward
+// here; over-aligned new is not used on the measured paths.)
 namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+}  // namespace
+
+// Out of line (as is delete), so the compiler never pairs an inlined
+// malloc()/free() with new/delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace {
+
+std::uint64_t heap_allocs() {
+  return g_heap_allocs.load(std::memory_order_relaxed);
+}
 
 using namespace ipop;
 
@@ -162,6 +194,70 @@ void BM_InternetChecksum(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_InternetChecksum)->Arg(20)->Arg(1500);
+
+/// Pseudo-header checksum over a TCP segment, as encode_gather computes it
+/// and deliver_tcp verifies it: summed in place, no allocation.
+void BM_TransportChecksum(benchmark::State& state) {
+  std::vector<std::uint8_t> segment(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < segment.size(); ++i) {
+    segment[i] = static_cast<std::uint8_t>(i * 37);
+  }
+  const auto src = net::Ipv4Address(10, 0, 0, 1);
+  const auto dst = net::Ipv4Address(10, 0, 0, 2);
+  const auto allocs_before = heap_allocs();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        net::transport_checksum(src, dst, net::IpProto::kTcp, segment));
+  }
+  state.counters["heap_allocs_per_call"] =
+      static_cast<double>(heap_allocs() - allocs_before) /
+      static_cast<double>(state.iterations());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_TransportChecksum)->Arg(64)->Arg(1160);
+
+// --- event loop -------------------------------------------------------------
+// One simulated hop's scheduling cost: a link-delivery closure (alive
+// guard, two pointers, the frame Buffer: 72 bytes) scheduled and run
+// against ~1k pending far-future timers.  heap_allocs_per_event must stay
+// 0: the closure is stored inline in a recycled slot.
+
+void BM_EventLoopHop(benchmark::State& state) {
+  sim::EventLoop loop;
+  for (int i = 0; i < 1024; ++i) {
+    loop.schedule_at(util::seconds(1000 + i), [] {});
+  }
+  util::AliveToken token;
+  int direction = 0;
+  int endpoint = 0;
+  const util::Buffer frame =
+      util::Buffer::allocate(1400, util::kPacketHeadroom);
+  std::uint64_t seq = 0;
+  std::uint64_t delivered = 0;
+  auto hop = [&] {
+    auto deliver = [alive = token.guard(), d = &direction, e = &endpoint,
+                    f = frame.share()]() mutable {
+      if (!alive) return;
+      *d += static_cast<int>(f.size() & 1);
+      benchmark::DoNotOptimize(e);
+    };
+    static_assert(sizeof(deliver) == sim::Callback::kInlineSize);
+    loop.schedule_delivery(loop.now() + util::microseconds(1), 7, seq++,
+                           static_cast<std::uint32_t>(frame.size()),
+                           std::move(deliver));
+    delivered += loop.run_one() ? 1 : 0;
+  };
+  hop();  // warm: the slot chunk and heap capacity exist from here on
+  const auto allocs_before = heap_allocs();
+  const auto delivered_before = delivered;
+  for (auto _ : state) hop();
+  const auto events = static_cast<double>(delivered - delivered_before);
+  state.counters["heap_allocs_per_event"] =
+      static_cast<double>(heap_allocs() - allocs_before) / events;
+  state.counters["pending_events"] = static_cast<double>(loop.pending());
+}
+BENCHMARK(BM_EventLoopHop);
 
 // --- sealed tunnel frames ---------------------------------------------------
 // The secured hot path: encrypt-in-place + sign into headroom (seal) and
@@ -363,12 +459,17 @@ void BM_NatForwardSim(benchmark::State& state) {
   netw.loop().run_for(util::seconds(1));
   const auto copied_before = nat.stack().counters().payload_bytes_copied;
   const auto received_before = received;
+  const auto allocs_before = heap_allocs();
   for (auto _ : state) {
     client->send_to(net::Ipv4Address(8, 0, 0, 2), 7000,
                     util::Buffer::wrap(payload));
     netw.loop().run_for(util::milliseconds(1));
   }
   const auto iters = static_cast<double>(state.iterations());
+  // Everything one datagram costs end to end: the sender's buffer, the
+  // stack and NAT hops, both links and the receive handler.
+  state.counters["heap_allocs_per_forward"] =
+      static_cast<double>(heap_allocs() - allocs_before) / iters;
   state.counters["bytes_copied_per_forward"] =
       static_cast<double>(nat.stack().counters().payload_bytes_copied -
                           copied_before) /

@@ -61,8 +61,13 @@ std::string Ipv4Prefix::to_string() const {
   return network.to_string() + "/" + std::to_string(length);
 }
 
-std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
-  std::uint32_t sum = 0;
+namespace {
+
+// One's-complement partial sum of big-endian 16-bit words.  `data` must
+// start on an even offset of the summed byte string; an odd trailing
+// byte is padded with zero.
+std::uint64_t sum_words(std::span<const std::uint8_t> data,
+                        std::uint64_t sum) {
   std::size_t i = 0;
   for (; i + 1 < data.size(); i += 2) {
     sum += static_cast<std::uint32_t>(data[i] << 8) | data[i + 1];
@@ -70,21 +75,30 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
   if (i < data.size()) {
     sum += static_cast<std::uint32_t>(data[i] << 8);
   }
+  return sum;
+}
+
+std::uint16_t fold_complement(std::uint64_t sum) {
   while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
   return static_cast<std::uint16_t>(~sum);
+}
+
+}  // namespace
+
+std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
+  return fold_complement(sum_words(data, 0));
 }
 
 std::uint16_t transport_checksum(Ipv4Address src, Ipv4Address dst,
                                  IpProto proto,
                                  std::span<const std::uint8_t> segment) {
-  util::ByteWriter w(12 + segment.size());
-  w.u32(src.value);
-  w.u32(dst.value);
-  w.u8(0);
-  w.u8(static_cast<std::uint8_t>(proto));
-  w.u16(static_cast<std::uint16_t>(segment.size()));
-  w.bytes(segment);
-  return internet_checksum(w.data());
+  // The 12-byte pseudo-header (src, dst, zero, proto, length) is six
+  // whole words, so it sums word by word ahead of the segment, in place.
+  std::uint64_t sum = (src.value >> 16) + (src.value & 0xFFFF) +
+                      (dst.value >> 16) + (dst.value & 0xFFFF) +
+                      static_cast<std::uint8_t>(proto) +
+                      static_cast<std::uint16_t>(segment.size());
+  return fold_complement(sum_words(segment, sum));
 }
 
 std::uint16_t checksum_update(std::uint16_t csum, std::uint16_t old_word,

@@ -15,10 +15,7 @@ std::string TcpFlags::to_string() const {
 
 util::Buffer TcpSegment::encode_buffer(Ipv4Address src_ip, Ipv4Address dst_ip,
                                        std::size_t headroom) const {
-  // One shared empty chain: constructing a BufferChain allocates (its
-  // segment deque), and control segments are sent for every ACK.
-  static const util::BufferChain kNoPayload;
-  return encode_gather(src_ip, dst_ip, headroom, kNoPayload, 0, 0);
+  return encode_gather(src_ip, dst_ip, headroom, util::BufferChain(), 0, 0);
 }
 
 util::Buffer TcpSegment::encode_gather(Ipv4Address src_ip, Ipv4Address dst_ip,

@@ -43,7 +43,7 @@ struct StampedEvent {
   std::uint64_t stream;  // global link-direction id
   std::uint64_t seq;     // per-stream monotone sequence (sender-assigned)
   std::uint32_t aux;     // frame size, folded into the trace digest
-  EventLoop::Callback cb;
+  Callback cb;
 };
 
 class Channel {

@@ -30,69 +30,68 @@ TimePoint EventLoop::clamp_to_now(TimePoint t) {
   return t;
 }
 
-void EventLoop::push_item(Item item) {
-  heap_.push_back(std::move(item));
-  std::push_heap(heap_.begin(), heap_.end());
-  ++pending_;
+std::uint32_t EventLoop::acquire_slot() {
+  if (!free_slots_.empty()) {
+    const std::uint32_t index = free_slots_.back();
+    free_slots_.pop_back();
+    return index;
+  }
+  if (slot_count_ % kChunkSlots == 0) {
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  }
+  return static_cast<std::uint32_t>(slot_count_++);
 }
 
-EventLoop::EventId EventLoop::schedule_at(TimePoint t, Callback cb) {
-  t = clamp_to_now(t);
-  std::size_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = slots_.size();
-    slots_.emplace_back();
-  }
-  slots_[slot].live = true;
-  const EventId id =
-      (static_cast<EventId>(slot) << 32) | slots_[slot].gen;
-  push_item(Item{t, 0, next_seq_++, id, 0, std::move(cb)});
+EventLoop::EventId EventLoop::push(TimePoint t, std::uint64_t key0,
+                                   std::uint64_t key1, std::uint32_t aux,
+                                   Callback&& cb) {
+  const std::uint32_t index = acquire_slot();
+  Slot& s = slot_at(index);
+  s.cb = std::move(cb);
+  s.aux = aux;
+  const EventId id = (static_cast<EventId>(index) << 32) | s.gen;
+  heap_.push_back(Key{clamp_to_now(t), key0, key1, id});
+  std::push_heap(heap_.begin(), heap_.end());
+  ++pending_;
   return id;
 }
 
-void EventLoop::schedule_delivery(TimePoint t, std::uint64_t stream,
-                                  std::uint64_t seq, std::uint32_t aux,
-                                  Callback cb) {
-  t = clamp_to_now(t);
-  push_item(Item{t, stream + 1, seq, 0, aux, std::move(cb)});
-}
-
 void EventLoop::cancel(EventId id) {
-  if (!slot_live(id)) return;  // already ran or cancelled (or a delivery)
-  release_slot(id);
+  if (!slot_live(id)) return;  // already ran or cancelled
+  const auto index = static_cast<std::uint32_t>(id >> 32);
+  Slot& s = slot_at(index);
+  ++s.gen;  // the heap key is now debris
   --pending_;
+  // The closure's destructor may itself cancel or schedule; the slot is
+  // recycled only once it is empty.
+  s.cb.reset();
+  free_slots_.push_back(index);
   maybe_compact();
 }
 
 void EventLoop::maybe_compact() {
-  // Rebuild once dead entries outnumber live ones: amortized O(1) per
+  // Rebuild once dead keys outnumber live ones: amortized O(1) per
   // cancel, and the heap never holds more than ~2x the live events.
   if (heap_.size() < kCompactMinHeap) return;
   if (heap_.size() - pending_ <= heap_.size() / 2) return;
-  std::erase_if(heap_, [&](const Item& it) { return !item_live(it); });
+  std::erase_if(heap_, [&](const Key& k) { return !slot_live(k.ref); });
   std::make_heap(heap_.begin(), heap_.end());
 }
 
-bool EventLoop::pop_next(Item& out) {
+bool EventLoop::pop_live(Key& out) {
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end());
-    Item item = std::move(heap_.back());
+    out = heap_.back();
     heap_.pop_back();
-    if (!item_live(item)) continue;  // cancelled: discard lazily
+    if (!slot_live(out.ref)) continue;  // cancelled: discard lazily
     --pending_;
-    out = std::move(item);
     return true;
   }
   return false;
 }
 
-void EventLoop::restore(Item item) { push_item(std::move(item)); }
-
 TimePoint EventLoop::next_event_at() {
-  while (!heap_.empty() && !item_live(heap_.front())) {
+  while (!heap_.empty() && !slot_live(heap_.front().ref)) {
     std::pop_heap(heap_.begin(), heap_.end());
     heap_.pop_back();
   }
@@ -100,26 +99,39 @@ TimePoint EventLoop::next_event_at() {
   return heap_.front().at;
 }
 
-void EventLoop::execute(Item& item) {
-  now_ = item.at;
+void EventLoop::execute(const Key& key) {
+  now_ = key.at;
   ++processed_;
-  if (item.id != 0) {
-    release_slot(item.id);
-  } else if (tracing_) {
-    TraceStream& ts = trace_[item.key0 - 1];
+  const auto index = static_cast<std::uint32_t>(key.ref >> 32);
+  Slot& s = slot_at(index);
+  // Bump first: the event's own id (and every copy) is stale while it
+  // runs, so a self-cancel is harmless.
+  ++s.gen;
+  if (key.key0 != 0 && tracing_) {
+    TraceStream& ts = trace_[key.key0 - 1];
     ts.chain = mix64(ts.chain ^ mix64(static_cast<std::uint64_t>(
-                                          item.at.count()) ^
-                                      mix64(item.key1) ^
-                                      mix64(item.aux)));
+                                          key.at.count()) ^
+                                      mix64(key.key1) ^ mix64(s.aux)));
     ++ts.count;
   }
-  item.cb();
+  // Run in place (chunks never move), then destroy the closure and
+  // recycle the slot — also when the callback throws.
+  struct Recycle {
+    EventLoop& loop;
+    Slot& s;
+    std::uint32_t index;
+    ~Recycle() {
+      s.cb.reset();
+      loop.free_slots_.push_back(index);
+    }
+  } recycle{*this, s, index};
+  s.cb();
 }
 
 bool EventLoop::run_one() {
-  Item item;
-  if (!pop_next(item)) return false;
-  execute(item);
+  Key key;
+  if (!pop_live(key)) return false;
+  execute(key);
   return true;
 }
 
@@ -130,36 +142,23 @@ std::size_t EventLoop::run() {
   return n;
 }
 
-std::size_t EventLoop::run_until(TimePoint t) {
+std::size_t EventLoop::run_through(TimePoint last) {
   stopped_ = false;
   std::size_t n = 0;
-  while (!stopped_) {
-    Item item;
-    if (!pop_next(item)) break;
-    if (item.at > t) {
-      restore(std::move(item));  // put it back untouched
-      break;
-    }
-    execute(item);
-    ++n;
-  }
+  // next_event_at() leaves a live key on top, so run_one() runs it.
+  while (!stopped_ && next_event_at() <= last && run_one()) ++n;
+  return n;
+}
+
+std::size_t EventLoop::run_until(TimePoint t) {
+  const std::size_t n = run_through(t);
   if (now_ < t) now_ = t;
   return n;
 }
 
 std::size_t EventLoop::run_window(TimePoint end) {
-  stopped_ = false;
-  std::size_t n = 0;
-  while (!stopped_) {
-    Item item;
-    if (!pop_next(item)) break;
-    if (item.at >= end) {
-      restore(std::move(item));  // horizon event: next window's work
-      break;
-    }
-    execute(item);
-    ++n;
-  }
+  // Half-open: an event at exactly `end` is the next window's work.
+  const std::size_t n = run_through(end - Duration{1});
   if (now_ < end) now_ = end;
   return n;
 }

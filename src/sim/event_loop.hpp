@@ -22,22 +22,27 @@
 // paper-table benches, churn tests and the cross-shard digest test rely
 // on.
 //
-// Layout is sized for 10^4..10^5-node runs: the callback lives inside the
-// heap item (one allocation-free slot per event instead of a side map
-// entry each), liveness is a generation-stamped slot vector (O(1) array
-// indexing per cancel/pop, no hashing), and cancellation is lazy with
-// compaction — a churning overlay cancels far-future keepalive/renew
-// timers constantly, and without compaction those dead slots would
-// dominate the heap.
+// Layout is sized for 10^4..10^5-node runs and for zero heap allocations
+// per event.  The heap holds 32-byte keys {at, key0, key1, slot|gen}; the
+// callback lives once, in a slot of chunked storage shared by timers and
+// deliveries, and is invoked in place.  Callbacks store packet-hop
+// closures inline (sim/callback.hpp), and slot chunks are fixed-size and
+// never move, so a scheduled hop allocates nothing once the loop is warm.
+// Liveness is the slot's generation stamp (O(1) array indexing per
+// cancel/pop, no hashing).  Cancellation destroys the callback at once and
+// leaves its key as lazy heap debris, compacted away once dead keys
+// outnumber live ones — a churning overlay cancels far-future
+// keepalive/renew timers constantly, and without compaction those dead
+// keys would dominate the heap.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
-#include <limits>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "util/time.hpp"
 
 namespace ipop::sim {
@@ -47,7 +52,7 @@ using util::TimePoint;
 
 class EventLoop {
  public:
-  using Callback = std::function<void()>;
+  using Callback = sim::Callback;
   /// (slot << 32) | generation.  0 is never a valid id (generations start
   /// at 1), so callers can use 0 as a "no timer armed" sentinel.
   using EventId = std::uint64_t;
@@ -67,10 +72,12 @@ class EventLoop {
   /// Schedule `cb` at absolute time `t`.  Scheduling in the past is a
   /// synchronization bug under sharding: debug builds assert; release
   /// builds clamp to now() and count it in clamped_schedules().
-  EventId schedule_at(TimePoint t, Callback cb);
+  EventId schedule_at(TimePoint t, Callback cb) {
+    return push(t, 0, next_seq_++, 0, std::move(cb));
+  }
   /// Schedule `cb` after a relative delay.
   EventId schedule_after(Duration d, Callback cb) {
-    return schedule_at(now_ + d, std::move(cb));
+    return push(now_ + d, 0, next_seq_++, 0, std::move(cb));
   }
   /// Schedule a link delivery carrying its canonical cross-partition sort
   /// key: `stream` is the global link-direction id, `seq` the sender's
@@ -78,7 +85,9 @@ class EventLoop {
   /// size) folded into the event-trace digest.  Deliveries are not
   /// cancellable (links guard their callbacks with AliveTokens instead).
   void schedule_delivery(TimePoint t, std::uint64_t stream, std::uint64_t seq,
-                         std::uint32_t aux, Callback cb);
+                         std::uint32_t aux, Callback cb) {
+    push(t, stream + 1, seq, aux, std::move(cb));
+  }
   /// Cancel a pending event; harmless if it already ran.
   void cancel(EventId id);
 
@@ -130,66 +139,71 @@ class EventLoop {
   }
 
  private:
-  struct Item {
+  /// Heap entry: the canonical sort key plus the slot holding the event's
+  /// callback.  (at, key0, key1) is unique per event — timers are keyed by
+  /// the loop-local sequence, deliveries by (stream, seq) — so the order
+  /// is strict and total, and pop order is independent of heap layout.
+  struct Key {
     TimePoint at;
     std::uint64_t key0;  // 0 = timer; stream id + 1 = delivery
     std::uint64_t key1;  // timer: loop-local seq; delivery: stream seq
-    EventId id;          // 0 for deliveries (not cancellable)
-    std::uint32_t aux;
-    Callback cb;
+    EventId ref;         // (slot << 32) | generation
     // Heap is a max-heap; invert so the canonical order pops first.
-    bool operator<(const Item& o) const {
+    bool operator<(const Key& o) const {
       if (at != o.at) return at > o.at;
       if (key0 != o.key0) return key0 > o.key0;
       return key1 > o.key1;
     }
   };
+  static_assert(sizeof(Key) == 32);
 
-  /// One liveness slot per outstanding timer.  The generation stamp makes
-  /// stale EventIds (and lazily-dead heap entries) O(1) detectable after
-  /// the slot is reused.
+  /// Callback storage for one outstanding event.  The generation stamp
+  /// makes stale EventIds (and lazily-dead heap keys) O(1) detectable
+  /// after the slot is reused: a key is live iff its generation matches.
   struct Slot {
+    Callback cb;
     std::uint32_t gen = 1;
-    bool live = false;
+    std::uint32_t aux = 0;  // delivery payload discriminator (tracing)
   };
 
-  bool item_live(const Item& it) const {
-    if (it.id == 0) return true;  // deliveries are never cancelled
-    return slot_live(it.id);
+  /// Slots come in fixed chunks that never move: growing the storage
+  /// never copies (or transiently doubles) the pending callbacks.
+  static constexpr std::size_t kChunkBits = 8;
+  static constexpr std::size_t kChunkSlots = std::size_t{1} << kChunkBits;
+
+  Slot& slot_at(std::size_t index) {
+    return chunks_[index >> kChunkBits][index & (kChunkSlots - 1)];
+  }
+  const Slot& slot_at(std::size_t index) const {
+    return chunks_[index >> kChunkBits][index & (kChunkSlots - 1)];
   }
   bool slot_live(EventId id) const {
-    const std::size_t slot = id >> 32;
-    const auto gen = static_cast<std::uint32_t>(id);
-    return slot < slots_.size() && slots_[slot].gen == gen &&
-           slots_[slot].live;
-  }
-  /// Free a timer's slot once it has executed (or been cancelled).
-  /// Bumping the generation invalidates every outstanding copy of the id.
-  void release_slot(EventId id) {
-    const std::size_t slot = id >> 32;
-    slots_[slot].live = false;
-    ++slots_[slot].gen;
-    free_slots_.push_back(static_cast<std::uint32_t>(slot));
+    const std::size_t index = id >> 32;
+    return index < slot_count_ &&
+           slot_at(index).gen == static_cast<std::uint32_t>(id);
   }
 
   TimePoint clamp_to_now(TimePoint t);
-  void push_item(Item item);
-  bool pop_next(Item& out);
-  void restore(Item item);
-  void execute(Item& item);
+  EventId push(TimePoint t, std::uint64_t key0, std::uint64_t key1,
+               std::uint32_t aux, Callback&& cb);
+  std::uint32_t acquire_slot();
+  bool pop_live(Key& out);
+  void execute(const Key& key);
+  std::size_t run_through(TimePoint last);
   void maybe_compact();
 
   TimePoint now_{};
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t clamped_ = 0;
-  std::size_t pending_ = 0;  // live items currently in heap_
+  std::size_t pending_ = 0;  // live keys currently in heap_
   bool stopped_ = false;
   bool tracing_ = false;
   // Binary heap via push_heap/pop_heap (priority_queue would hide the
   // storage needed for compaction).
-  std::vector<Item> heap_;
-  std::vector<Slot> slots_;
+  std::vector<Key> heap_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::size_t slot_count_ = 0;  // slots ever handed out
   std::vector<std::uint32_t> free_slots_;
   std::unordered_map<std::uint64_t, TraceStream> trace_;
 };

@@ -89,25 +89,25 @@ void Link::transmit(bool from_a, Frame frame) {
         d.rng.uniform(0, static_cast<double>(d.cfg.jitter.count())))};
   }
   const TimePoint deliver_at = tx_done + d.cfg.delay + jitter;
-  const std::size_t frame_size = frame.size();
+  const auto aux = static_cast<std::uint32_t>(frame.size());
 
   // The delivery closure touches only receiver-shard state; the sender's
-  // counters above were already settled on this thread.
-  auto deliver = [alive = alive_.guard(), &d, &dst, frame = std::move(frame),
-                  frame_size]() mutable {
+  // counters above were already settled on this thread.  Its 72 bytes are
+  // Callback's inline capacity: capture nothing more.
+  auto deliver = [alive = alive_.guard(), &d, &dst,
+                  frame = std::move(frame)]() mutable {
     if (!alive) return;
     ++d.rx_frames_delivered;
-    d.rx_bytes_delivered += frame_size;
+    d.rx_bytes_delivered += frame.size();
     if (dst.receiver_) dst.receiver_(std::move(frame));
   };
+  static_assert(Callback::stores_inline<decltype(deliver)>());
 
   if (d.channel != nullptr) {
-    d.channel->push(StampedEvent{deliver_at, d.stream, d.seq++,
-                                 static_cast<std::uint32_t>(frame_size),
-                                 std::move(deliver)});
+    d.channel->push(
+        StampedEvent{deliver_at, d.stream, d.seq++, aux, std::move(deliver)});
   } else if (d.stream != kNoStream) {
-    d.dst_loop->schedule_delivery(deliver_at, d.stream, d.seq++,
-                                  static_cast<std::uint32_t>(frame_size),
+    d.dst_loop->schedule_delivery(deliver_at, d.stream, d.seq++, aux,
                                   std::move(deliver));
   } else {
     // Untagged (unit-test / intra-host) link: plain loop-local event.

@@ -1,41 +1,103 @@
 #include "util/buffer_chain.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace ipop::util {
 
+namespace {
+// A consumed spill prefix shorter than this is cheaper to keep than to
+// erase.
+constexpr std::size_t kCompactMinHead = 8;
+}  // namespace
+
+BufferChain& BufferChain::operator=(BufferChain&& o) noexcept {
+  if (this == &o) return *this;
+  clear();
+  for (std::size_t i = 0; i < o.inline_count_; ++i) {
+    inline_[i] = std::exchange(o.inline_[i], Buffer());
+  }
+  inline_count_ = std::exchange(o.inline_count_, 0);
+  spill_ = std::move(o.spill_);
+  head_ = o.head_;
+  o.release_spill();
+  size_ = std::exchange(o.size_, 0);
+  return *this;
+}
+
 const Buffer& BufferChain::segment(std::size_t i) const {
-  if (i >= segs_.size()) throw ParseError("BufferChain: segment out of range");
-  return segs_[i];
+  const auto all = segs();
+  if (i >= all.size()) throw ParseError("BufferChain: segment out of range");
+  return all[i];
+}
+
+void BufferChain::spill() {
+  spill_.reserve(2 * kInline);
+  for (std::size_t i = 0; i < inline_count_; ++i) {
+    spill_.push_back(std::exchange(inline_[i], Buffer()));
+  }
+  inline_count_ = 0;
+  head_ = 0;
+}
+
+void BufferChain::release_spill() {
+  // An empty chain holds no heap storage: long-lived idle chains (the
+  // send queue of a socket in TIME_WAIT) must not pin a spill vector.
+  std::vector<Buffer>().swap(spill_);
+  head_ = 0;
 }
 
 void BufferChain::prepend(Buffer b) {
   if (b.empty()) return;
   size_ += b.size();
-  segs_.push_front(std::move(b));
+  if (!spilled()) {
+    if (inline_count_ < kInline) {
+      std::move_backward(inline_, inline_ + inline_count_,
+                         inline_ + inline_count_ + 1);
+      inline_[0] = std::move(b);
+      ++inline_count_;
+      return;
+    }
+    spill();
+  }
+  if (head_ > 0) {
+    spill_[--head_] = std::move(b);
+  } else {
+    spill_.insert(spill_.begin(), std::move(b));
+  }
 }
 
 void BufferChain::append(Buffer b) {
   if (b.empty()) return;
   size_ += b.size();
-  segs_.push_back(std::move(b));
+  if (!spilled()) {
+    if (inline_count_ < kInline) {
+      inline_[inline_count_++] = std::move(b);
+      return;
+    }
+    spill();
+  }
+  spill_.push_back(std::move(b));
 }
 
 void BufferChain::append(BufferChain other) {
-  for (auto& seg : other.segs_) {
+  for (Buffer& seg : other.segs()) {
     append(std::move(seg));
   }
   other.clear();
 }
 
 void BufferChain::clear() {
-  segs_.clear();
+  for (std::size_t i = 0; i < inline_count_; ++i) inline_[i] = Buffer();
+  inline_count_ = 0;
+  release_spill();
   size_ = 0;
 }
 
 std::uint8_t BufferChain::at(std::size_t i) const {
   check_range(i, 1);
-  for (const Buffer& seg : segs_) {
+  for (const Buffer& seg : segs()) {
     if (i < seg.size()) return seg.data()[i];
     i -= seg.size();
   }
@@ -46,14 +108,32 @@ void BufferChain::drop_front(std::size_t n) {
   if (n > size_) throw ParseError("BufferChain: drop_front past end");
   size_ -= n;
   while (n > 0) {
-    Buffer& head = segs_.front();
+    Buffer& head = segs().front();
     if (n >= head.size()) {
       n -= head.size();
-      segs_.pop_front();
+      pop_front_segment();
     } else {
       head.drop_front(n);
       n = 0;
     }
+  }
+}
+
+void BufferChain::pop_front_segment() {
+  if (!spilled()) {
+    std::move(inline_ + 1, inline_ + inline_count_, inline_);
+    inline_[--inline_count_] = Buffer();
+    return;
+  }
+  spill_[head_++] = Buffer();
+  if (head_ == spill_.size()) {
+    release_spill();
+  } else if (head_ >= kCompactMinHead && 2 * head_ >= spill_.size()) {
+    // Compact once half the vector is consumed: each live segment moves
+    // at most once per consumed one, so drop_front stays amortized O(1).
+    spill_.erase(spill_.begin(),
+                 spill_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
 }
 
@@ -71,7 +151,7 @@ std::optional<Buffer> BufferChain::try_share(std::size_t offset,
                                              std::size_t len) const {
   check_range(offset, len);
   if (len == 0) return Buffer();
-  for (const Buffer& seg : segs_) {
+  for (const Buffer& seg : segs()) {
     if (offset < seg.size()) {
       if (len > seg.size() - offset) return std::nullopt;  // spans segments
       return seg.share(offset, len);
@@ -83,13 +163,13 @@ std::optional<Buffer> BufferChain::try_share(std::size_t offset,
 
 const Buffer& BufferChain::coalesce() {
   static const Buffer kEmpty;
-  if (segs_.empty()) return kEmpty;
-  if (segs_.size() == 1) return segs_.front();
+  if (segments() == 0) return kEmpty;
+  if (segments() == 1) return segs().front();
   Buffer flat = Buffer::allocate(size_, kPacketHeadroom);
   gather(0, flat.writable());
-  segs_.clear();
-  segs_.push_back(std::move(flat));
-  return segs_.front();
+  clear();
+  append(std::move(flat));
+  return inline_[0];
 }
 
 std::vector<std::uint8_t> BufferChain::to_vector() const {

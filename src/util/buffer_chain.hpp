@@ -14,10 +14,19 @@
 // chain holding a segment keeps that storage alive.  Coalescing is lazy —
 // coalesce() flattens multi-segment chains into a single segment only when
 // a caller genuinely needs contiguity, and caches the result in place.
+//
+// Storage: the first two segments live inline, so the chains a send path
+// builds per packet (one payload, or header + payload) allocate nothing.
+// A third segment spills every segment into a vector read from a head
+// index: drop_front advances the index and compacts the vector only once
+// half of it is consumed, so draining a long TCP send queue stays
+// amortized O(1) per segment.  Append is amortized O(1); prepend is O(1)
+// inline or after a drop_front, and shifts the vector otherwise (headers
+// are prepended onto short chains).  A chain that empties frees its
+// vector, so idle chains hold no heap storage.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -31,15 +40,21 @@ class BufferChain {
   BufferChain() = default;
   /// Single-segment chain over an existing buffer (no copy).
   explicit BufferChain(Buffer b) { append(std::move(b)); }
+  BufferChain(const BufferChain&) = default;
+  BufferChain& operator=(const BufferChain&) = default;
+  /// Moves leave the source empty.
+  BufferChain(BufferChain&& o) noexcept { *this = std::move(o); }
+  BufferChain& operator=(BufferChain&& o) noexcept;
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   /// Number of segments (empty buffers are never stored).
-  std::size_t segments() const { return segs_.size(); }
+  std::size_t segments() const { return segs().size(); }
   const Buffer& segment(std::size_t i) const;
 
-  /// O(1): link the buffer in front of / behind the chain.  Empty buffers
-  /// are dropped (a zero-length iovec entry carries no information).
+  /// Link the buffer in front of / behind the chain (handle traffic
+  /// only; costs as in the storage note above).  Empty buffers are
+  /// dropped (a zero-length iovec entry carries no information).
   void prepend(Buffer b);
   void append(Buffer b);
   /// Splice another chain's segments onto the end (handles move, bytes
@@ -66,7 +81,7 @@ class BufferChain {
   template <typename F>
   void for_each_span(std::size_t offset, std::size_t len, F&& f) const {
     check_range(offset, len);
-    for (const Buffer& seg : segs_) {
+    for (const Buffer& seg : segs()) {
       if (len == 0) break;
       if (offset >= seg.size()) {
         offset -= seg.size();
@@ -95,9 +110,27 @@ class BufferChain {
   std::vector<std::uint8_t> to_vector() const;
 
  private:
+  static constexpr std::size_t kInline = 2;
+
+  bool spilled() const { return !spill_.empty(); }
+  std::span<Buffer> segs() {
+    if (spilled()) return std::span<Buffer>(spill_).subspan(head_);
+    return {inline_, inline_count_};
+  }
+  std::span<const Buffer> segs() const {
+    if (spilled()) return std::span<const Buffer>(spill_).subspan(head_);
+    return {inline_, inline_count_};
+  }
+  /// Move the inline segments into the (empty) spill vector.
+  void spill();
+  void release_spill();
+  void pop_front_segment();
   void check_range(std::size_t offset, std::size_t len) const;
 
-  std::deque<Buffer> segs_;
+  Buffer inline_[kInline];
+  std::size_t inline_count_ = 0;  // used while !spilled()
+  std::vector<Buffer> spill_;     // once spilled: segments [head_, end)
+  std::size_t head_ = 0;
   std::size_t size_ = 0;
 };
 

@@ -4,11 +4,32 @@
 // storage, and bounds violations throwing util::ParseError.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <deque>
+#include <new>
 #include <numeric>
 
 #include "brunet/packet.hpp"
 #include "util/buffer.hpp"
 #include "util/buffer_chain.hpp"
+#include "util/random.hpp"
+
+// Counting global operator new: lets the BufferChain tests prove which
+// operations allocate.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ipop {
 namespace {
@@ -358,6 +379,203 @@ TEST(BufferChainTest, AppendChainSplicesSegments) {
   a.append(std::move(b));
   EXPECT_EQ(a.segments(), 3u);
   EXPECT_EQ(a.size(), 10u);
+}
+
+// --- BufferChain storage: two inline segments, then a spill vector ---------
+
+std::uint64_t heap_allocs() {
+  return g_heap_allocs.load(std::memory_order_relaxed);
+}
+
+TEST(BufferChainTest, UpToTwoSegmentsAllocateNothing) {
+  Buffer payload = Buffer::copy_of(pattern(64));
+  Buffer header = Buffer::copy_of(pattern(8));
+  Buffer third = Buffer::copy_of(pattern(4));
+  const auto before = heap_allocs();
+  {
+    BufferChain empty;
+    BufferChain one(payload.share());
+    BufferChain two(payload.share());
+    two.prepend(header.share());
+    BufferChain moved(std::move(two));
+    EXPECT_EQ(moved.segments(), 2u);
+    EXPECT_TRUE(two.empty());  // NOLINT(bugprone-use-after-move)
+    moved.drop_front(10);
+    EXPECT_EQ(moved.segments(), 1u);
+    EXPECT_EQ(moved.size(), 62u);
+    EXPECT_EQ(one.coalesce().data(), payload.data());
+  }
+  EXPECT_EQ(heap_allocs(), before);
+  // The third segment spills (one vector allocation).
+  BufferChain three(payload.share());
+  three.append(header.share());
+  three.append(third.share());
+  EXPECT_GT(heap_allocs(), before);
+  EXPECT_EQ(three.segments(), 3u);
+  EXPECT_EQ(three.at(64), 0);  // header's first byte
+  EXPECT_EQ(three.at(72), 0);  // third's first byte
+  EXPECT_EQ(three.at(75), 3);
+}
+
+TEST(BufferChainTest, PrependAcrossTheSpillBoundaryKeepsOrder) {
+  BufferChain chain;
+  for (std::uint8_t i = 0; i < 6; ++i) {
+    chain.prepend(Buffer::filled(1, static_cast<std::uint8_t>(5 - i)));
+  }
+  EXPECT_EQ(chain.segments(), 6u);
+  EXPECT_EQ(chain.to_vector(), (std::vector<std::uint8_t>{0, 1, 2, 3, 4, 5}));
+  // drop_front opens room at the head; prepend reuses it.
+  chain.drop_front(2);
+  chain.prepend(Buffer::filled(1, 9));
+  EXPECT_EQ(chain.to_vector(), (std::vector<std::uint8_t>{9, 2, 3, 4, 5}));
+  EXPECT_EQ(chain.segment(0).size(), 1u);
+  EXPECT_EQ(chain.segments(), 5u);
+}
+
+TEST(BufferChainTest, DrainingTenThousandSegmentsKeepsHeadConsistent) {
+  // The TCP send-queue pattern: append many small segments, then drop
+  // from the front in acked chunks that split segments.
+  BufferChain chain;
+  std::vector<std::uint8_t> model;
+  constexpr std::size_t kSegments = 10'000;
+  for (std::size_t i = 0; i < kSegments; ++i) {
+    const auto b = static_cast<std::uint8_t>(i * 7);
+    chain.append(Buffer::filled(1 + i % 3, b));
+    model.insert(model.end(), 1 + i % 3, b);
+  }
+  EXPECT_EQ(chain.segments(), kSegments);
+  std::size_t dropped = 0;
+  std::size_t step = 1;
+  while (!chain.empty()) {
+    const std::size_t n = std::min(step, chain.size());
+    chain.drop_front(n);
+    dropped += n;
+    step = step % 97 + 1;
+    ASSERT_EQ(chain.size(), model.size() - dropped);
+    if (!chain.empty()) {
+      ASSERT_EQ(chain.at(0), model[dropped]);
+    }
+  }
+  EXPECT_EQ(chain.segments(), 0u);
+  // The emptied chain is reusable.
+  chain.append(Buffer::filled(3, 1));
+  EXPECT_EQ(chain.to_vector(), (std::vector<std::uint8_t>{1, 1, 1}));
+}
+
+TEST(BufferChainTest, RandomOperationsMatchAModel) {
+  // A deque of byte strings is the reference; every operation on the
+  // chain, on either side of the inline/spill boundary, must agree.
+  util::Rng rng(5);
+  auto draw = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  auto make = [&](std::size_t len) {
+    std::vector<std::uint8_t> bytes(len);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+    return bytes;
+  };
+  BufferChain chain;
+  std::deque<std::vector<std::uint8_t>> segs;
+  auto flat = [&segs] {
+    std::vector<std::uint8_t> out;
+    for (const auto& s : segs) out.insert(out.end(), s.begin(), s.end());
+    return out;
+  };
+  for (int step = 0; step < 5000; ++step) {
+    switch (draw(8)) {
+      case 0: {
+        auto bytes = make(draw(12));
+        chain.prepend(Buffer::copy_of(bytes));
+        if (!bytes.empty()) segs.push_front(bytes);
+        break;
+      }
+      case 1:
+      case 2: {
+        auto bytes = make(draw(12));
+        chain.append(Buffer::copy_of(bytes));
+        if (!bytes.empty()) segs.push_back(bytes);
+        break;
+      }
+      case 3: {
+        std::size_t n = draw(chain.size() + 1);
+        chain.drop_front(n);
+        while (n > 0) {
+          if (n >= segs.front().size()) {
+            n -= segs.front().size();
+            segs.pop_front();
+          } else {
+            segs.front().erase(segs.front().begin(),
+                               segs.front().begin() +
+                                   static_cast<std::ptrdiff_t>(n));
+            n = 0;
+          }
+        }
+        break;
+      }
+      case 4: {
+        BufferChain other;
+        for (std::size_t i = draw(4); i > 0; --i) {
+          auto bytes = make(1 + draw(6));
+          other.append(Buffer::copy_of(bytes));
+          segs.push_back(bytes);
+        }
+        chain.append(std::move(other));
+        break;
+      }
+      case 5:
+        if (draw(4) == 0) {
+          const auto before = flat();
+          chain.coalesce();
+          segs.clear();
+          if (!before.empty()) segs.push_back(before);
+        }
+        break;
+      case 6: {
+        BufferChain moved(std::move(chain));
+        ASSERT_TRUE(chain.empty());  // NOLINT(bugprone-use-after-move)
+        ASSERT_EQ(chain.segments(), 0u);
+        chain = std::move(moved);
+        break;
+      }
+      default:
+        if (draw(16) == 0) {
+          chain.clear();
+          segs.clear();
+        }
+        break;
+    }
+    const auto bytes = flat();
+    ASSERT_EQ(chain.size(), bytes.size()) << "step " << step;
+    ASSERT_EQ(chain.segments(), segs.size()) << "step " << step;
+    ASSERT_EQ(chain.to_vector(), bytes) << "step " << step;
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      ASSERT_EQ(chain.segment(i).to_vector(), segs[i]) << "step " << step;
+    }
+    if (bytes.empty()) continue;
+    const std::size_t off = draw(bytes.size());
+    const std::size_t len = draw(bytes.size() - off + 1);
+    std::vector<std::uint8_t> out(len);
+    chain.gather(off, out);
+    ASSERT_EQ(out, std::vector<std::uint8_t>(
+                       bytes.begin() + static_cast<std::ptrdiff_t>(off),
+                       bytes.begin() + static_cast<std::ptrdiff_t>(off + len)));
+    ASSERT_EQ(chain.at(off), bytes[off]);
+    // try_share succeeds exactly when the range sits in one segment.
+    std::size_t seg_start = 0;
+    bool one_segment = len == 0;
+    for (const auto& seg : segs) {
+      if (off < seg_start + seg.size()) {
+        one_segment = one_segment || off + len <= seg_start + seg.size();
+        break;
+      }
+      seg_start += seg.size();
+    }
+    const auto shared = chain.try_share(off, len);
+    ASSERT_EQ(shared.has_value(), one_segment) << "step " << step;
+    if (shared) {
+      ASSERT_EQ(shared->to_vector(), out);
+    }
+  }
 }
 
 }  // namespace

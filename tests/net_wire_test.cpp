@@ -9,6 +9,7 @@
 #include "net/ipv4.hpp"
 #include "net/tcp_wire.hpp"
 #include "net/udp.hpp"
+#include "util/random.hpp"
 
 namespace ipop::net {
 namespace {
@@ -283,6 +284,60 @@ TEST(TcpWireTest, ChecksumCoversPseudoHeader) {
   EXPECT_NE(transport_checksum(Ipv4Address::parse("9.9.9.9"), dst,
                                IpProto::kTcp, wire),
             0);
+}
+
+/// RFC 1071 over a pseudo-header + segment image the test lays out
+/// itself, one byte at a time: the reference transport_checksum must
+/// match bit for bit.
+std::uint16_t reference_transport_checksum(Ipv4Address src, Ipv4Address dst,
+                                           IpProto proto,
+                                           const std::vector<std::uint8_t>&
+                                               segment) {
+  std::vector<std::uint8_t> image;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    image.push_back(static_cast<std::uint8_t>(src.value >> shift));
+  }
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    image.push_back(static_cast<std::uint8_t>(dst.value >> shift));
+  }
+  image.push_back(0);
+  image.push_back(static_cast<std::uint8_t>(proto));
+  image.push_back(static_cast<std::uint8_t>(segment.size() >> 8));
+  image.push_back(static_cast<std::uint8_t>(segment.size()));
+  image.insert(image.end(), segment.begin(), segment.end());
+  if (image.size() % 2 != 0) image.push_back(0);
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; i < image.size(); i += 2) {
+    sum += static_cast<std::uint32_t>(image[i]) << 8 | image[i + 1];
+    sum = (sum & 0xFFFF) + (sum >> 16);
+  }
+  return static_cast<std::uint16_t>(~sum);
+}
+
+TEST(TransportChecksumTest, MatchesReferenceForEveryLengthUpToMtu) {
+  util::Rng rng(7);
+  for (std::size_t len = 0; len <= 1500; ++len) {
+    for (const IpProto proto : {IpProto::kTcp, IpProto::kUdp}) {
+      const Ipv4Address src(static_cast<std::uint32_t>(rng()));
+      const Ipv4Address dst(static_cast<std::uint32_t>(rng()));
+      std::vector<std::uint8_t> segment(len);
+      for (auto& b : segment) b = static_cast<std::uint8_t>(rng());
+      ASSERT_EQ(transport_checksum(src, dst, proto, segment),
+                reference_transport_checksum(src, dst, proto, segment))
+          << "len " << len << " proto " << static_cast<int>(proto);
+    }
+  }
+}
+
+TEST(TransportChecksumTest, AllOnesSegmentsFoldCarries) {
+  // Worst case for carries: every word 0xFFFF, addresses all ones.
+  const Ipv4Address ones(0xFFFFFFFFu);
+  for (const std::size_t len : {0u, 1u, 2u, 1499u, 1500u}) {
+    const std::vector<std::uint8_t> segment(len, 0xFF);
+    EXPECT_EQ(transport_checksum(ones, ones, IpProto::kUdp, segment),
+              reference_transport_checksum(ones, ones, IpProto::kUdp, segment))
+        << "len " << len;
+  }
 }
 
 TEST(TcpWireTest, FlagsEncodeDecode) {

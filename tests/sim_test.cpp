@@ -1,7 +1,12 @@
 // Unit tests for src/sim: event loop, CPU scheduler, link, switch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
 #include <memory>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/cpu.hpp"
@@ -238,6 +243,147 @@ TEST(EventLoopTest, QueueDepthBoundedUnderCancelHeavyLoad) {
   EXPECT_LE(max_depth, 2 * static_cast<std::size_t>(kNodes) + 64);
   loop.run();
   EXPECT_EQ(loop.queue_depth(), 0u);
+}
+
+// --- Callback storage ----------------------------------------------------------
+
+/// Counts destructions of the closure it sits in; a moved-from copy does
+/// not count, so `destroyed` is the number of live closures destroyed.
+struct DestroyCounter {
+  int* destroyed;
+  explicit DestroyCounter(int* d) : destroyed(d) {}
+  DestroyCounter(DestroyCounter&& o) noexcept
+      : destroyed(std::exchange(o.destroyed, nullptr)) {}
+  DestroyCounter(const DestroyCounter&) = delete;
+  ~DestroyCounter() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+};
+
+TEST(EventLoopTest, HopSizedClosuresAreInlineAndLargerOnesAreNot) {
+  struct Hop {
+    char bytes[Callback::kInlineSize];
+    void operator()() {}
+  };
+  struct Big {
+    char bytes[Callback::kInlineSize + 8];
+    void operator()() {}
+  };
+  static_assert(Callback::stores_inline<Hop>());
+  static_assert(!Callback::stores_inline<Big>());
+}
+
+TEST(EventLoopTest, OversizedClosureRunsAndIsDestroyedOnce) {
+  EventLoop loop;
+  int ran = 0;
+  int destroyed = 0;
+  std::array<std::uint64_t, 16> payload{};  // 128 bytes: heap fallback
+  payload[15] = 7;
+  auto big = [&ran, payload, c = DestroyCounter(&destroyed)] {
+    ran += static_cast<int>(payload[15]);
+  };
+  static_assert(!Callback::stores_inline<decltype(big)>());
+  loop.schedule_after(milliseconds(1), std::move(big));
+  EXPECT_EQ(destroyed, 0);
+  loop.run();
+  EXPECT_EQ(ran, 7);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(EventLoopTest, InlineClosureIsDestroyedOnceAfterRunning) {
+  EventLoop loop;
+  int destroyed = 0;
+  bool seen_alive = false;
+  loop.schedule_after(milliseconds(1),
+                      [&, c = DestroyCounter(&destroyed)] {
+                        seen_alive = destroyed == 0;  // runs before teardown
+                      });
+  loop.run();
+  EXPECT_TRUE(seen_alive);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(EventLoopTest, MoveOnlyClosureIsAccepted) {
+  EventLoop loop;
+  int seen = 0;
+  auto owned = std::make_unique<int>(42);
+  loop.schedule_after(milliseconds(1),
+                      [&seen, p = std::move(owned)] { seen += *p; });
+  sim::CpuScheduler cpu(loop, "cpu");
+  cpu.run(microseconds(5),
+          [&seen, p = std::make_unique<int>(1)] { seen += *p; });
+  loop.run();
+  EXPECT_EQ(seen, 43);
+}
+
+TEST(EventLoopTest, CancelThenPopDestroysClosureExactlyOnce) {
+  EventLoop loop;
+  int destroyed = 0;
+  bool ran = false;
+  const auto id = loop.schedule_after(
+      milliseconds(1), [&ran, c = DestroyCounter(&destroyed)] { ran = true; });
+  const auto big_id = loop.schedule_after(
+      milliseconds(1), [&ran, pad = std::array<std::uint64_t, 16>{},
+                        c = DestroyCounter(&destroyed)] { ran = pad[0] == 1; });
+  loop.cancel(id);
+  loop.cancel(big_id);
+  EXPECT_EQ(destroyed, 2);  // cancel frees the captures at once
+  loop.cancel(id);          // second cancel is a no-op
+  EXPECT_EQ(loop.run(), 0u);  // the debris pops without running
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(destroyed, 2);
+}
+
+TEST(EventLoopTest, UndrainedClosuresAreDestroyedWithTheLoop) {
+  int destroyed = 0;
+  {
+    EventLoop loop;
+    loop.schedule_after(milliseconds(1), [c = DestroyCounter(&destroyed)] {});
+    loop.schedule_delivery(milliseconds(1), 3, 0, 0,
+                           [c = DestroyCounter(&destroyed)] {});
+  }
+  EXPECT_EQ(destroyed, 2);
+}
+
+TEST(EventLoopTest, RandomTimersAndDeliveriesPopInCanonicalOrder) {
+  // 10k events at colliding timestamps, timers and deliveries mixed, with
+  // cancellations and slot reuse in between: execution must follow
+  // (at, key0, key1) — timers (key0 = 0, key1 = schedule order) before
+  // deliveries (key0 = stream + 1, key1 = stream seq).
+  using Order = std::tuple<std::int64_t, std::uint64_t, std::uint64_t>;
+  EventLoop loop;
+  util::Rng rng(99);
+  std::vector<Order> ran;
+  std::vector<Order> expected;
+  std::map<std::uint64_t, std::uint64_t> next_seq;
+  std::vector<EventLoop::EventId> cancellable;
+  std::uint64_t timer_seq = 0;
+  constexpr int kEvents = 10'000;
+  for (int i = 0; i < kEvents; ++i) {
+    const auto at = microseconds(static_cast<std::int64_t>(rng() % 200));
+    if (rng() % 2 == 0) {
+      const Order key{at.count(), 0, timer_seq++};
+      const auto id = loop.schedule_at(at, [&ran, key] { ran.push_back(key); });
+      if (rng() % 8 == 0) {
+        cancellable.push_back(id);
+      } else {
+        expected.push_back(key);
+      }
+    } else {
+      const std::uint64_t stream = rng() % 16;
+      // Per-stream seqs are monotone in the sender, not in arrival order.
+      const std::uint64_t seq = next_seq[stream]++;
+      const Order key{at.count(), stream + 1, seq};
+      loop.schedule_delivery(at, stream, seq, static_cast<std::uint32_t>(i),
+                             [&ran, key] { ran.push_back(key); });
+      expected.push_back(key);
+    }
+  }
+  for (const auto id : cancellable) loop.cancel(id);
+  EXPECT_EQ(loop.pending(), expected.size());
+  loop.run();
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(ran, expected);
 }
 
 // --- CpuScheduler --------------------------------------------------------------

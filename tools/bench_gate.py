@@ -13,11 +13,14 @@ scale suite uses this to see the --shards 1 and --shards 4 soak legs
 Suites:
   micro  (default) — bench_micro_core output: the zero-copy invariants
          (bytes_copied_* = 0, and the sealed tunnel path's
-         payload_bytes_copied = 0 on both seal and open), the sendmmsg
-         amortization (datagrams_per_syscall) against the committed
-         BENCH_micro_core.json, and the per-packet crypto cost bound
-         (full-MTU seal/open at most 2x a 64-byte frame — crypto cost
-         is per packet, not per byte).
+         payload_bytes_copied = 0 on both seal and open), the
+         allocation-free hop (heap_allocs_per_event = 0 on the event
+         loop, heap_allocs_per_call = 0 on the transport checksum, and a
+         ceiling on heap allocations per NAT-forwarded datagram), the
+         sendmmsg amortization (datagrams_per_syscall) against the
+         committed BENCH_micro_core.json, and the per-packet crypto cost
+         bound (full-MTU seal/open at most 2x a 64-byte frame — crypto
+         cost is per packet, not per byte).
   churn  — bench_churn_soak output: the self-configuration invariants.
          duplicate_leases must be exactly 0 (the DHT create() uniqueness
          guarantee), resolution_success_rate and lease_acquired_fraction
@@ -88,11 +91,26 @@ SUITES = {
             (r"^BM_SealInPlace/", "payload_bytes_copied"),
             (r"^BM_OpenInPlace/", "payload_bytes_copied"),
             (r"^BM_OpenInPlace/", "frames_rejected"),
+            # Allocation-free packet hops: a 72-byte hop closure is stored
+            # inline in a recycled event slot, and the pseudo-header
+            # checksum sums the segment in place.
+            (r"^BM_EventLoopHop$", "heap_allocs_per_event"),
+            (r"^BM_TransportChecksum/", "heap_allocs_per_call"),
         ],
         # (name regex, counter, absolute floor): fresh must be >= floor.
         "floor": [
             (r"^BM_NatForwardSim/0/", "delivered_fraction", 0.9),
             (r"^BM_TcpEdgeStreamSend/", "delivered_fraction", 0.9),
+        ],
+        # (name regex, counter, max): fresh must be <= max.  One UDP
+        # datagram across inside -> NAT -> outside costs 4 allocations,
+        # all in the bench's own headroom-less send buffer (wrap: vector +
+        # storage; the UDP header's reallocation: vector + storage).  The
+        # stack, NAT, links and event loop add none (12 before
+        # std::function callbacks, deque-backed chains and the copying
+        # checksum were replaced).
+        "ceiling": [
+            (r"^BM_NatForwardSim/0/1$", "heap_allocs_per_forward", 4),
         ],
         # (name regex, counter, tolerance): fresh must be >= committed
         # baseline value - tolerance for the same run name.
@@ -308,6 +326,8 @@ def check(suite, fresh_doc, baseline_doc):
                 failures.append(f"{name}: {counter} = {value} < floor {floor}")
 
     for name_re, counter, cap in suite.get("ceiling", ()):
+        if not matching(name_re):
+            failures.append(f"no benchmark matches {name_re} (bench deleted?)")
         for name, bench in matching(name_re):
             value = bench.get(counter)
             if value is None:
@@ -419,12 +439,15 @@ def self_test(suite, fresh_doc, baseline_doc):
                 break
         return doc
 
-    # Regress every zero-rule counter on its first matching benchmark.
+    # Regress every zero-rule counter on its first matching benchmark,
+    # both grossly and by the smallest count (one allocation per event).
     for name_re, counter in suite["zero"]:
-        if not check(suite, regress(name_re, counter, 1456.0), baseline_doc):
-            print(f"self-test FAILED: regressed {counter} on {name_re} "
-                  "was not caught", file=sys.stderr)
-            return 1
+        for value in (1456.0, 1.0):
+            if not check(suite, regress(name_re, counter, value),
+                         baseline_doc):
+                print(f"self-test FAILED: {counter} = {value} on {name_re} "
+                      "was not caught", file=sys.stderr)
+                return 1
 
     # Drop every floored counter below its floor.
     for name_re, counter, floor in suite["floor"]:
@@ -434,11 +457,19 @@ def self_test(suite, fresh_doc, baseline_doc):
                   "was not caught", file=sys.stderr)
             return 1
 
-    # Push every ceilinged counter past its cap.
+    # Push every ceilinged counter past its cap, and drop its benchmark:
+    # a deleted run must not pass the ceiling vacuously.
     for name_re, counter, cap in suite.get("ceiling", ()):
         if not check(suite, regress(name_re, counter, cap + 1), baseline_doc):
             print(f"self-test FAILED: regressed {counter} on {name_re} "
                   "was not caught", file=sys.stderr)
+            return 1
+        dropped = copy.deepcopy(fresh_doc)
+        dropped["benchmarks"] = [b for b in dropped["benchmarks"]
+                                 if not re.search(name_re, b["name"])]
+        if not check(suite, dropped, baseline_doc):
+            print(f"self-test FAILED: missing {name_re} run was not caught",
+                  file=sys.stderr)
             return 1
 
     # Drop every guarded rate below its floor (only conclusive when the
